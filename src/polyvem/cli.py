@@ -62,11 +62,12 @@ def _study_run(args):
     if unknown:
         print(f"unknown config keys: {', '.join(unknown)}", file=sys.stderr)
         return 1
-    if isinstance(settings.get("levels"), str):
-        settings["levels"] = [int(tok) for tok in settings["levels"].split(",")
-                              if tok.strip()]
-    config = StudyConfig(**settings)
     try:
+        if isinstance(settings.get("levels"), str):
+            settings["levels"] = [int(tok) for tok
+                                  in settings["levels"].split(",")
+                                  if tok.strip()]
+        config = StudyConfig(**settings)
         report = run_study(config)
     except (MeshError, ValueError) as exc:
         print(f"study failed: {exc}", file=sys.stderr)

@@ -30,6 +30,94 @@ def _refined_solve(lu, A, B):
     return X
 
 
+# The projector core below is shared by the 2D and 3D elements. An element
+# supplies basis, geometry, H, Gt, d_mat, layout.n_total and its volume
+# quadrature _qp, _qw; its last nm dofs are the scaled cell moments.
+
+def _solve_projectors(el, B, bnd_mean_dof, bnd_mean_mono, nm):
+    """Set pi_nabla_star, pi_nabla and pi_zero of an element.
+
+    B holds the boundary integrals of the monomials' normal derivatives
+    against the dofs; the two boundary means fix the constants.
+    """
+    k = el.k
+    n_total = el.layout.n_total
+    measure = el.geometry.measure
+    # moments carry the exact volume term of the integration by parts
+    lap = el.basis.laplacian_map()
+    B[:, n_total - nm:] -= measure * lap[:, :nm]
+
+    # a change to an H-orthonormal basis keeps the projector solves
+    # well conditioned once the monomials become nearly dependent
+    R = pb.orthonormal_change(el.H) if k >= 3 else None
+    if R is None:
+        Gc = el.Gt.copy()
+        Gc[0] = bnd_mean_mono
+        Bc = B.copy()
+        Bc[0] = bnd_mean_dof
+    else:
+        Gc = R.T @ el.Gt @ R
+        Gc[0] = R.T @ bnd_mean_mono
+        Bc = R.T @ B
+        Bc[0] = bnd_mean_dof
+    lu = scipy.linalg.lu_factor(Gc)
+    X = _refined_solve(lu, Gc, Bc)
+    el.pi_nabla_star = R @ X if R is not None else X
+    el.pi_nabla = el.d_mat @ el.pi_nabla_star
+
+    if k == 1:
+        el.pi_zero = el.pi_nabla_star
+    else:
+        M = el.H @ el.pi_nabla_star
+        M[:nm] = 0.0
+        M[np.arange(nm), n_total - nm + np.arange(nm)] = measure
+        if R is None:
+            lu_h = scipy.linalg.lu_factor(el.H)
+            el.pi_zero = _refined_solve(lu_h, el.H, M)
+        else:
+            Z = R @ (R.T @ M)
+            Z += R @ (R.T @ (M - el.H @ Z))
+            el.pi_zero = Z
+
+
+def _local_stiffness(el, S):
+    """Projected stiffness plus the residual part stabilized by S."""
+    K = el.pi_nabla_star.T @ el.Gt @ el.pi_nabla_star
+    resid = np.eye(el.layout.n_total) - el.pi_nabla
+    K += resid.T @ S @ resid
+    return 0.5 * (K + K.T)
+
+
+def _local_load(el, f, nm):
+    """Integrals of f against the load polynomials of the dofs."""
+    if el.k == 1:
+        C, nj = el.pi_zero, el.basis.n
+    elif el.k == 2:
+        nj = pb.n_poly(el.basis.dim, 1)
+        H1 = el.H[:nj, :nj]
+        C = np.linalg.solve(H1, el.H[:nj] @ el.pi_zero)
+    else:
+        # for k >= 3 the degree k-2 moments are stored dofs
+        nj = nm
+        C = np.zeros((nm, el.layout.n_total))
+        C[:, -nm:] = el.geometry.measure * np.linalg.inv(el.H[:nm, :nm])
+    fvals = np.asarray(f(el._qp), dtype=float)
+    mvec = (el.basis.eval(el._qp)[:, :nj].T * el._qw) @ fvals
+    return C.T @ mvec
+
+
+def _interpolate(el, func, nm):
+    """Interpolant dofs at the nodes and cell moments; others left unset."""
+    dofs = np.empty(el.layout.n_total)
+    nb = el.layout.n_boundary
+    dofs[:nb] = np.asarray(func(el._node_points), dtype=float)
+    if nm:
+        fvals = np.asarray(func(el._qp), dtype=float)
+        vals = el.basis.eval(el._qp)[:, :nm]
+        dofs[-nm:] = (vals.T * el._qw) @ fvals / el.geometry.measure
+    return dofs
+
+
 class Element2D:
     """Degree-k virtual element on a star-shaped polygon."""
 
@@ -45,8 +133,7 @@ class Element2D:
         self.layout = DofLayout(nv * k, pb.n_poly(2, k - 2))
 
         self._build_edges()
-        self._qp, self._qw = pb.polygon_quadrature(
-            self.points, self.geometry.star_center, 2 * k)
+        self._qp, self._qw = self.volume_quadrature(2 * k)
         self.H = pb.mass_matrix(self.basis, self._qp, self._qw)
         self.Gt = pb.stiffness_from_mass(self.basis, self.H)
         self._build_d_mat()
@@ -92,10 +179,7 @@ class Element2D:
 
     def _build_projectors(self):
         k = self.k
-        nb = self.layout.n_boundary
-        nm = self.layout.n_moment
         n = self.basis.n
-        area = self.geometry.measure
 
         tg, wg = pb.gauss_legendre(k + 2)
         lag = pb.lagrange_matrix(self._edge_ts, tg)
@@ -119,41 +203,8 @@ class Element2D:
             bnd_mean_mono += length * (tvals @ wg)
         bnd_mean_dof /= perimeter
         bnd_mean_mono /= perimeter
-        # moments carry the exact volume term of the integration by parts
-        lap = self.basis.laplacian_map()
-        B[:, nb:] -= area * lap[:, :nm]
-
-        # a change to an H-orthonormal basis keeps the projector solves
-        # well conditioned once the monomials become nearly dependent
-        R = pb.orthonormal_change(self.H) if k >= 3 else None
-        if R is None:
-            Gc = self.Gt.copy()
-            Gc[0] = bnd_mean_mono
-            Bc = B.copy()
-            Bc[0] = bnd_mean_dof
-        else:
-            Gc = R.T @ self.Gt @ R
-            Gc[0] = R.T @ bnd_mean_mono
-            Bc = R.T @ B
-            Bc[0] = bnd_mean_dof
-        lu = scipy.linalg.lu_factor(Gc)
-        X = _refined_solve(lu, Gc, Bc)
-        self.pi_nabla_star = R @ X if R is not None else X
-        self.pi_nabla = self.d_mat @ self.pi_nabla_star
-
-        if k == 1:
-            self.pi_zero = self.pi_nabla_star
-        else:
-            M = self.H @ self.pi_nabla_star
-            M[:nm] = 0.0
-            M[np.arange(nm), nb + np.arange(nm)] = area
-            if R is None:
-                lu_h = scipy.linalg.lu_factor(self.H)
-                self.pi_zero = _refined_solve(lu_h, self.H, M)
-            else:
-                Z = R @ (R.T @ M)
-                Z += R @ (R.T @ (M - self.H @ Z))
-                self.pi_zero = Z
+        _solve_projectors(self, B, bnd_mean_dof, bnd_mean_mono,
+                          self.layout.n_moment)
 
     # -- stabilization and stiffness ---------------------------------------
 
@@ -184,49 +235,17 @@ class Element2D:
 
     def local_stiffness(self, kind):
         """Projected stiffness plus the stabilized residual part."""
-        S = self.stabilization_matrix(kind)
-        K = self.pi_nabla_star.T @ self.Gt @ self.pi_nabla_star
-        resid = np.eye(self.layout.n_total) - self.pi_nabla
-        K += resid.T @ S @ resid
-        return 0.5 * (K + K.T)
+        return _local_stiffness(self, self.stabilization_matrix(kind))
 
     # -- load, interpolation, norms ----------------------------------------
 
-    def _load_projector(self):
-        """Coefficient matrix C with (load polynomial of phi_i) = C[:, i]."""
-        k = self.k
-        nb = self.layout.n_boundary
-        nm = self.layout.n_moment
-        area = self.geometry.measure
-        if k == 1:
-            return self.pi_zero, self.basis.n
-        if k == 2:
-            n1 = pb.n_poly(2, 1)
-            H1 = self.H[:n1, :n1]
-            return np.linalg.solve(H1, self.H[:n1] @ self.pi_zero), n1
-        # for k >= 3 the degree k-2 moments are stored dofs
-        C = np.zeros((nm, self.layout.n_total))
-        C[:, nb:nb + nm] = area * np.linalg.inv(self.H[:nm, :nm])
-        return C, nm
-
     def local_load(self, f):
         """Right hand side integrals of f against the projected dofs."""
-        C, nj = self._load_projector()
-        fvals = np.asarray(f(self._qp), dtype=float)
-        mvec = (self.basis.eval(self._qp)[:, :nj].T * self._qw) @ fvals
-        return C.T @ mvec
+        return _local_load(self, f, self.layout.n_moment)
 
     def interpolate(self, func):
         """Dof vector of the interpolant of a function given pointwise."""
-        dofs = np.empty(self.layout.n_total)
-        nb = self.layout.n_boundary
-        dofs[:nb] = np.asarray(func(self._node_points), dtype=float)
-        nm = self.layout.n_moment
-        if nm:
-            fvals = np.asarray(func(self._qp), dtype=float)
-            vals = self.basis.eval(self._qp)[:, :nm]
-            dofs[nb:] = (vals.T * self._qw) @ fvals / self.geometry.measure
-        return dofs
+        return _interpolate(self, func, self.layout.n_moment)
 
     def seminorm_tbar(self, v):
         """Computable seminorm combining the projected interior part with

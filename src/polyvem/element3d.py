@@ -8,10 +8,10 @@ face's own scaled monomials, and interior cell moments.
 """
 
 import numpy as np
-import scipy.linalg
 
 from . import polybasis as pb
-from .element2d import Element2D, _refined_solve
+from .element2d import (Element2D, _interpolate, _local_load,
+                        _local_stiffness, _solve_projectors)
 from .mesh import cell_geometry
 
 
@@ -161,10 +161,8 @@ class Element3D:
         self.d_mat = np.vstack(rows)
 
     def _build_projectors(self):
-        k = self.k
         lay = self.layout
         n = self.basis.n
-        vol = self.geometry.measure
 
         B = np.zeros((n, lay.n_total))
         bnd_mean_dof = np.zeros(lay.n_total)
@@ -186,40 +184,8 @@ class Element3D:
             total_area += face.element.geometry.measure
         bnd_mean_dof /= total_area
         bnd_mean_mono /= total_area
-        ncm = lay.n_cell_moments
-        lap = self.basis.laplacian_map()
-        moment_cols = slice(lay.n_total - ncm, lay.n_total)
-        B[:, moment_cols] -= vol * lap[:, :ncm]
-
-        R = pb.orthonormal_change(self.H) if k >= 3 else None
-        if R is None:
-            Gc = self.Gt.copy()
-            Gc[0] = bnd_mean_mono
-            Bc = B.copy()
-            Bc[0] = bnd_mean_dof
-        else:
-            Gc = R.T @ self.Gt @ R
-            Gc[0] = R.T @ bnd_mean_mono
-            Bc = R.T @ B
-            Bc[0] = bnd_mean_dof
-        lu = scipy.linalg.lu_factor(Gc)
-        X = _refined_solve(lu, Gc, Bc)
-        self.pi_nabla_star = R @ X if R is not None else X
-        self.pi_nabla = self.d_mat @ self.pi_nabla_star
-
-        if k == 1:
-            self.pi_zero = self.pi_nabla_star
-        else:
-            M = self.H @ self.pi_nabla_star
-            M[:ncm] = 0.0
-            M[np.arange(ncm), lay.n_total - ncm + np.arange(ncm)] = vol
-            if R is None:
-                lu_h = scipy.linalg.lu_factor(self.H)
-                self.pi_zero = _refined_solve(lu_h, self.H, M)
-            else:
-                Z = R @ (R.T @ M)
-                Z += R @ (R.T @ (M - self.H @ Z))
-                self.pi_zero = Z
+        _solve_projectors(self, B, bnd_mean_dof, bnd_mean_mono,
+                          lay.n_cell_moments)
 
     # -- stabilization and stiffness -------------------------------------------
 
@@ -250,49 +216,20 @@ class Element3D:
 
     def local_stiffness(self):
         """Projected stiffness plus the stabilized residual part."""
-        S = self.stabilization_matrix()
-        K = self.pi_nabla_star.T @ self.Gt @ self.pi_nabla_star
-        resid = np.eye(self.layout.n_total) - self.pi_nabla
-        K += resid.T @ S @ resid
-        return 0.5 * (K + K.T)
+        return _local_stiffness(self, self.stabilization_matrix())
 
     # -- load and interpolation -------------------------------------------------
 
-    def _load_projector(self):
-        lay = self.layout
-        vol = self.geometry.measure
-        if self.k == 1:
-            return self.pi_zero, self.basis.n
-        if self.k == 2:
-            n1 = pb.n_poly(3, 1)
-            H1 = self.H[:n1, :n1]
-            return np.linalg.solve(H1, self.H[:n1] @ self.pi_zero), n1
-        ncm = lay.n_cell_moments
-        C = np.zeros((ncm, lay.n_total))
-        C[:, lay.n_total - ncm:] = vol * np.linalg.inv(self.H[:ncm, :ncm])
-        return C, ncm
-
     def local_load(self, f):
         """Right hand side integrals of f against the projected dofs."""
-        C, nj = self._load_projector()
-        fvals = np.asarray(f(self._qp), dtype=float)
-        mvec = (self.basis.eval(self._qp)[:, :nj].T * self._qw) @ fvals
-        return C.T @ mvec
+        return _local_load(self, f, self.layout.n_cell_moments)
 
     def interpolate(self, func):
         """Dof vector of the interpolant of a function given pointwise."""
         lay = self.layout
-        dofs = np.empty(lay.n_total)
-        dofs[:lay.n_boundary] = np.asarray(
-            func(self._node_points), dtype=float)
+        dofs = _interpolate(self, func, lay.n_cell_moments)
         for lf, face in enumerate(self._faces):
             frame = face.frame
             trace = lambda q2: func(frame.to3d(q2))
             dofs[lay.face_dof_indices(lf)] = face.element.interpolate(trace)
-        ncm = lay.n_cell_moments
-        if ncm:
-            fvals = np.asarray(func(self._qp), dtype=float)
-            vals = self.basis.eval(self._qp)[:, :ncm]
-            dofs[lay.n_total - ncm:] = \
-                (vals.T * self._qw) @ fvals / self.geometry.measure
         return dofs

@@ -280,19 +280,9 @@ class PolyhedralMesh3:
             vol += (pts3[0] @ normal) * area
         return vol / 3.0
 
-    def cell_volume(self, i):
-        """Cell volume from the star fan tetrahedralization."""
-        vol = 0.0
-        for tets in self._fan_tetrahedra(i):
-            a, b, c, d = np.swapaxes(tets, 0, 1)
-            vol += np.sum(np.einsum(
-                "ij,ij->i", b - a, np.cross(c - a, d - a))) / 6.0
-        return vol
-
-    def _fan_tetrahedra(self, i):
+    def _fan_tetrahedra(self, i, star):
         """Per face, an array (ntri, 4, 3) of positively oriented tets
         joining the cell star point to the face's own star fan."""
-        star = cell_star_center(self, i)
         out = []
         for pts3, frame, normal in self._oriented_face_data(i):
             pts2 = frame.to2d(pts3)
@@ -333,7 +323,7 @@ class PolyhedralMesh3:
                 seen.add(fid)
                 signs.setdefault(fid, []).append(sign)
             vol_div = self.cell_volume_divergence(ci)
-            vol_fan = self.cell_volume(ci)
+            vol_fan = cell_geometry(self, ci).measure
             if not vol_div > 0.0:
                 raise MeshError(f"cell {ci} has non-positive volume")
             if abs(vol_div - vol_fan) > 1e-10 * max(vol_div, vol_fan):
@@ -383,7 +373,7 @@ def cell_geometry(mesh, i):
     star = cell_star_center(mesh, i)
     vol = 0.0
     first = np.zeros(3)
-    for tets in mesh._fan_tetrahedra(i):
+    for tets in mesh._fan_tetrahedra(i, star):
         a, b, c, d = np.swapaxes(tets, 0, 1)
         v = np.einsum("ij,ij->i", b - a, np.cross(c - a, d - a)) / 6.0
         vol += v.sum()

@@ -216,7 +216,9 @@ def test_acceptance_7_interpolation_rates():
         for n in (4, 8, 16, 32):
             mesh = pm.generate_square_mesh(n, "uniform")
             sys_ = ps.assemble(mesh, k, "s2")
-            x = ps.interpolate_global(mesh, k, case.u)
+            x = ps.interpolate_global(mesh, k, case.u,
+                                      elements=sys_.elements,
+                                      dofmap=sys_.dofmap)
             errs = st.compute_errors(mesh, k, sys_, x, case)
             hs.append(max(pm.polygon_geometry(mesh.cell_points(c)).h
                           for c in range(mesh.n_cells)))

@@ -97,7 +97,7 @@ def test_mass_row0_matches_box_closed_form(family):
 
 
 @pytest.mark.parametrize("family", ["uniform", "facesplit(0.25)"])
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_projector_reproduces_polynomials_3d(family, k):
     mesh = cube_mesh(family)
     el = make_element(mesh, 0, k)
@@ -114,7 +114,7 @@ def test_projector_constant_vector_3d():
     assert np.allclose(coeffs, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_pi_zero_reproduces_polynomials_3d(k):
     mesh = cube_mesh("facesplit(0.2)")
     el = make_element(mesh, 0, k)
@@ -196,7 +196,7 @@ def test_stab_node_term_flat_under_face_degeneration():
 
 
 @pytest.mark.parametrize("family", ["uniform", "facesplit(0.25)"])
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_stiffness_polynomial_consistency_3d(family, k):
     mesh = cube_mesh(family)
     el = make_element(mesh, 0, k)
@@ -231,7 +231,7 @@ def test_load_3d_patterns():
     assert np.allclose(F, el1.H[0] @ el1.pi_zero, atol=1e-13)
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_interpolation_reproduces_monomials_3d(k):
     mesh = cube_mesh("facesplit(0.25)")
     el = make_element(mesh, 0, k)

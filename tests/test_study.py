@@ -299,3 +299,12 @@ def test_cli_study_assert_rates_failure_exit_code(tmp_path):
                "--family", "uniform", "--levels", "2",
                "--case", "sine", "--out", str(out), "--assert-rates"])
     assert rc != 0
+
+
+def test_cli_study_bad_levels_exit_code(tmp_path, capsys):
+    from polyvem.cli import main
+
+    rc = main(["study", "run", "--levels", "4,x",
+               "--out", str(tmp_path / "bad_levels")])
+    assert rc == 1
+    assert "study failed:" in capsys.readouterr().err
