@@ -32,7 +32,7 @@ def build_face_cache(mesh, k):
     """
     cache = []
     for fid in range(mesh.n_faces):
-        frame = mesh.face_frame(fid)
+        frame, _ = mesh.face_chart(fid)
         pts2 = frame.to2d(mesh.face_points(fid))
         cache.append(FaceData(fid, frame, Element2D(pts2, k)))
     return cache
@@ -103,7 +103,6 @@ class Element3D:
         self._qp, self._qw = self.volume_quadrature(2 * k)
         self.H = pb.mass_matrix(self.basis, self._qp, self._qw)
         self.Gt = pb.stiffness_from_mass(self.basis, self.H)
-        self._build_d_mat()
         self._build_projectors()
 
     # -- geometry ------------------------------------------------------------
@@ -121,67 +120,53 @@ class Element3D:
     def volume_quadrature(self, degree):
         """A quadrature rule over the cell, exact to the degree.
 
-        The cell is fanned into tetrahedra joining the cell star point to
-        the star fans of its faces.
+        The Duffy rule is mapped onto each tetrahedron of the cell's star
+        fan, the same fan its volume and centroid come from.
         """
         star = self.geometry.star_center
+        tets, _ = self.mesh._fan_tetrahedra(self.cell_id, star)
+        E = tets[:, 1:] - star
+        det = np.abs(np.linalg.det(E))
+        keep = det != 0.0
         tp, tw = pb.tetrahedron_rule(degree)
-        qp, qw = [], []
-        for face in self._faces:
-            pts3 = self.mesh.face_points(face.face_id)
-            fstar = face.frame.to3d(face.element.geometry.star_center)[0]
-            rolled = np.roll(pts3, -1, axis=0)
-            for a, b in zip(pts3, rolled):
-                E = np.array([a - star, b - star, fstar - star])
-                det = abs(np.linalg.det(E))
-                if det == 0.0:
-                    continue
-                qp.append(star + tp @ E)
-                qw.append(tw * det)
-        return np.concatenate(qp), np.concatenate(qw)
+        qp = star + tp @ E[keep]
+        return qp.reshape(-1, 3), (det[keep, None] * tw).ravel()
 
     # -- dof matrix and projectors --------------------------------------------
 
-    def _face_quadrature(self, face):
-        qp2, qw2 = face.element.volume_quadrature(2 * self.k)
-        return qp2, qw2, face.frame.to3d(qp2)
-
-    def _build_d_mat(self):
-        lay = self.layout
-        rows = [self.basis.eval(self._node_points)]
-        nmf = pb.n_poly(2, self.k - 2)
-        if nmf:
-            for face in self._faces:
-                qp2, qw2, qp3 = self._face_quadrature(face)
-                vals3 = self.basis.eval(qp3)
-                vals2 = face.element.basis.eval(qp2)[:, :nmf]
-                area = face.element.geometry.measure
-                rows.append((vals2.T * qw2) @ vals3 / area)
-        rows.append(self.H[:lay.n_cell_moments, :] / self.geometry.measure)
-        self.d_mat = np.vstack(rows)
-
     def _build_projectors(self):
+        """d_mat, then the projectors, from one pass over the faces.
+
+        Per face, T holds the integrals of the cell monomials against the
+        face monomials on the face element's own quadrature; its first
+        columns are the face moments of d_mat, and it carries the face's
+        share of the boundary term B.
+        """
         lay = self.layout
         n = self.basis.n
+        nmf = pb.n_poly(2, self.k - 2)
 
+        rows = [self.basis.eval(self._node_points)]
         B = np.zeros((n, lay.n_total))
         bnd_mean_dof = np.zeros(lay.n_total)
         bnd_mean_mono = np.zeros(n)
         total_area = 0.0
         maps = self.basis.derivative_maps()
         for lf, face in enumerate(self._faces):
-            qp2, qw2, qp3 = self._face_quadrature(face)
-            vals3 = self.basis.eval(qp3)
-            vals2 = face.element.basis.eval(qp2)
-            T = (vals3.T * qw2) @ vals2
+            fel = face.element
+            vals3 = self.basis.eval(face.frame.to3d(fel._qp))
+            T = (vals3.T * fel._qw) @ fel.basis.eval(fel._qp)
+            area = fel.geometry.measure
+            rows.append(T[:, :nmf].T / area)
             normal = self._signs[lf] * face.frame.normal
             ND = sum(normal[d] * maps[d] for d in range(3))
             idx = lay.face_dof_indices(lf)
-            CF = face.element.pi_zero
-            B[:, idx] += (ND @ T) @ CF
-            bnd_mean_dof[idx] += face.element.H[0] @ CF
+            B[:, idx] += (ND @ T) @ fel.pi_zero
+            bnd_mean_dof[idx] += fel.H[0] @ fel.pi_zero
             bnd_mean_mono += T[:, 0]
-            total_area += face.element.geometry.measure
+            total_area += area
+        rows.append(self.H[:lay.n_cell_moments, :] / self.geometry.measure)
+        self.d_mat = np.vstack(rows)
         bnd_mean_dof /= total_area
         bnd_mean_mono /= total_area
         _solve_projectors(self, B, bnd_mean_dof, bnd_mean_mono,

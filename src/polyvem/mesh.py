@@ -67,6 +67,21 @@ def _chebyshev_center(normals, anchors, dim):
     return res.x[:dim], res.x[dim]
 
 
+def _star_point(candidate, normals, anchors, h, what):
+    """The candidate when it sees every facet n.(x-a) <= 0 strictly from
+    inside, otherwise the Chebyshev center of the kernel.
+
+    Raises KernelEmpty, naming what, when the kernel has no interior point.
+    """
+    slack = np.einsum("ij,ij->i", normals, candidate - anchors)
+    if np.max(slack) <= -1e-9 * h:
+        return candidate
+    star, radius = _chebyshev_center(normals, anchors, len(candidate))
+    if star is None or radius <= 1e-12 * h:
+        raise KernelEmpty(f"{what} has an empty kernel")
+    return star
+
+
 def polygon_geometry(points):
     """Geometry of a simple CCW polygon given as an (m, 2) vertex array.
 
@@ -85,13 +100,7 @@ def polygon_geometry(points):
                          np.sum((y + yr) * cross)]) / (6.0 * area)
     h = _diameter(points)
     normals, anchors = _edge_outward_normals(points)
-    slack = np.einsum("ij,ij->i", normals, centroid - anchors)
-    if np.max(slack) <= -1e-9 * h:
-        star = centroid
-    else:
-        star, radius = _chebyshev_center(normals, anchors, 2)
-        if star is None or radius <= 1e-12 * h:
-            raise KernelEmpty("polygon has an empty kernel")
+    star = _star_point(centroid, normals, anchors, h, "polygon")
     return CellGeometry(h, area, centroid, star)
 
 
@@ -214,6 +223,7 @@ class PolyhedralMesh3:
         self.n_faces = len(self.faces)
         self.n_cells = len(self.cells)
         self._build_incidence()
+        self._charts = {}
 
     def _build_incidence(self):
         lookup = {}
@@ -261,42 +271,46 @@ class PolyhedralMesh3:
     def face_points(self, fid):
         return self.vertices[self.faces[fid]]
 
-    def face_frame(self, fid):
-        return FaceFrame(self.face_points(fid))
+    def face_chart(self, fid):
+        """(FaceFrame, CellGeometry in that frame) of a face.
+
+        Built on first use and kept, so the cells sharing a face read one
+        chart; being lazy, it lets validate's ordered checks come first.
+        """
+        chart = self._charts.get(fid)
+        if chart is None:
+            frame = FaceFrame(self.face_points(fid))
+            geom = polygon_geometry(frame.to2d(self.face_points(fid)))
+            chart = self._charts[fid] = (frame, geom)
+        return chart
 
     def _oriented_face_data(self, i):
-        """Per face of cell i: (loop points, frame, outward unit normal)."""
-        out = []
-        for fid, sign in self.cells[i]:
-            frame = self.face_frame(fid)
-            out.append((self.face_points(fid), frame, sign * frame.normal))
-        return out
+        """Per face of cell i: (loop points, frame, geometry in the frame,
+        sign), the sign being +1 when the frame normal points outward."""
+        return [(self.face_points(fid), *self.face_chart(fid), sign)
+                for fid, sign in self.cells[i]]
 
     def cell_volume_divergence(self, i):
         """Cell volume from the divergence theorem applied to x/3."""
         vol = 0.0
-        for pts3, frame, normal in self._oriented_face_data(i):
-            area = polygon_geometry(frame.to2d(pts3)).measure
-            vol += (pts3[0] @ normal) * area
+        for pts3, frame, geom, sign in self._oriented_face_data(i):
+            vol += sign * (pts3[0] @ frame.normal) * geom.measure
         return vol / 3.0
 
     def _fan_tetrahedra(self, i, star):
-        """Per face, an array (ntri, 4, 3) of positively oriented tets
-        joining the cell star point to the face's own star fan."""
-        out = []
-        for pts3, frame, normal in self._oriented_face_data(i):
-            pts2 = frame.to2d(pts3)
-            fstar = frame.to3d(polygon_geometry(pts2).star_center)[0]
-            rolled = np.roll(pts3, -1, axis=0)
-            tets = np.empty((len(pts3), 4, 3))
-            tets[:, 0] = star
-            tets[:, 1] = fstar
-            # order the triangle so the tet volume comes out positive
-            outward = normal @ frame.normal > 0
-            tets[:, 2] = pts3 if outward else rolled
-            tets[:, 3] = rolled if outward else pts3
-            out.append(tets)
-        return out
+        """The star fan of cell i: tets (star, p, q, face star) over each
+        stored face edge p -> q, with the sign (+1 or -1) of each tet's
+        orientation, so that sign * det(tet - star) / 6 is its volume."""
+        tets, signs = [], []
+        for pts3, frame, geom, sign in self._oriented_face_data(i):
+            fan = np.empty((len(pts3), 4, 3))
+            fan[:, 0] = star
+            fan[:, 1] = pts3
+            fan[:, 2] = np.roll(pts3, -1, axis=0)
+            fan[:, 3] = frame.to3d(geom.star_center)[0]
+            tets.append(fan)
+            signs.append(np.full(len(pts3), float(sign)))
+        return np.concatenate(tets), np.concatenate(signs)
 
     def validate(self):
         if not np.all(np.isfinite(self.vertices)):
@@ -338,6 +352,19 @@ class PolyhedralMesh3:
         return self
 
 
+def _kernel_halfspaces(mesh, i):
+    """Outward unit normals and anchor points of the facets of cell i,
+    whose half-spaces n.(x-a) <= 0 cut out its kernel, and its diameter."""
+    pts = mesh.cell_points(i)
+    if mesh.dim == 2:
+        normals, anchors = _edge_outward_normals(pts)
+    else:
+        data = mesh._oriented_face_data(i)
+        normals = np.array([sign * frame.normal for _, frame, _, sign in data])
+        anchors = np.array([pts3[0] for pts3, _, _, _ in data])
+    return normals, anchors, _diameter(pts)
+
+
 def cell_star_center(mesh, i):
     """An interior point of cell i seeing all of its boundary.
 
@@ -347,38 +374,20 @@ def cell_star_center(mesh, i):
     """
     if mesh.dim == 2:
         return polygon_geometry(mesh.cell_points(i)).star_center
-    pts = mesh.cell_points(i)
-    candidate = pts.mean(axis=0)
-    normals, anchors = [], []
-    for pts3, frame, normal in mesh._oriented_face_data(i):
-        normals.append(normal)
-        anchors.append(pts3[0])
-    normals = np.array(normals)
-    anchors = np.array(anchors)
-    h = _diameter(pts)
-    slack = np.einsum("ij,ij->i", normals, candidate - anchors)
-    if np.max(slack) <= -1e-9 * h:
-        return candidate
-    star, radius = _chebyshev_center(normals, anchors, 3)
-    if star is None or radius <= 1e-12 * h:
-        raise KernelEmpty(f"cell {i} has an empty kernel")
-    return star
+    candidate = mesh.cell_points(i).mean(axis=0)
+    return _star_point(candidate, *_kernel_halfspaces(mesh, i), f"cell {i}")
 
 
 def cell_geometry(mesh, i):
     """CellGeometry of one cell, in either dimension."""
     if mesh.dim == 2:
         return polygon_geometry(mesh.cell_points(i))
-    pts = mesh.cell_points(i)
     star = cell_star_center(mesh, i)
-    vol = 0.0
-    first = np.zeros(3)
-    for tets in mesh._fan_tetrahedra(i, star):
-        a, b, c, d = np.swapaxes(tets, 0, 1)
-        v = np.einsum("ij,ij->i", b - a, np.cross(c - a, d - a)) / 6.0
-        vol += v.sum()
-        first += v @ (a + b + c + d) / 4.0
-    return CellGeometry(_diameter(pts), vol, first / vol, star)
+    tets, signs = mesh._fan_tetrahedra(i, star)
+    vols = signs * np.linalg.det(tets[:, 1:] - star) / 6.0
+    vol = vols.sum()
+    centroid = vols @ tets.mean(axis=1) / vol
+    return CellGeometry(_diameter(mesh.cell_points(i)), vol, centroid, star)
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +420,7 @@ def quality_report(mesh):
                     for ids in mesh.cell_edge_ids])
     rho = np.empty(mesh.n_cells)
     for i in range(mesh.n_cells):
-        if mesh.dim == 2:
-            pts = mesh.cell_points(i)
-            normals, anchors = _edge_outward_normals(pts)
-            h = _diameter(pts)
-        else:
-            data = mesh._oriented_face_data(i)
-            normals = np.array([n for _, _, n in data])
-            anchors = np.array([p[0] for p, _, _ in data])
-            h = _diameter(mesh.cell_points(i))
+        normals, anchors, h = _kernel_halfspaces(mesh, i)
         _, radius = _chebyshev_center(normals, anchors, mesh.dim)
         rho[i] = radius / h
     tau_face = None

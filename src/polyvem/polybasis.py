@@ -174,15 +174,6 @@ def tetrahedron_rule(degree):
     return _read_only(np.column_stack([x, y, z]), wt)
 
 
-def segment_quadrature(p0, p1, degree):
-    """Gauss points and arclength weights on the segment p0 -> p1."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    t, w = gauss_legendre(degree // 2 + 2)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    return pts, w * np.linalg.norm(p1 - p0)
-
-
 def polygon_quadrature(points, star_center, degree):
     """Fan quadrature over a polygon star-shaped about star_center."""
     points = np.asarray(points, dtype=float)

@@ -274,10 +274,26 @@ def _check_rates(config, case, slopes, rows):
     return True, ok, thresholds
 
 
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 1
+
+
+def _check_config(config):
+    """Raise ValueError unless dim, k and levels can drive a study."""
+    if config.dim not in (2, 3) or not _is_count(config.dim):
+        raise ValueError(f"dim must be 2 or 3, not {config.dim!r}")
+    if not _is_count(config.k):
+        raise ValueError(f"k must be an integer >= 1, not {config.k!r}")
+    if not (isinstance(config.levels, list) and config.levels
+            and all(_is_count(n) for n in config.levels)):
+        raise ValueError("levels must be a non-empty list of integers "
+                         f">= 1, not {config.levels!r}")
+
+
 def run_study(config):
     """Run a convergence study and return its report dict."""
-    if not config.levels:
-        raise ValueError("a study needs at least one refinement level")
+    _check_config(config)
     case = get_case(config.case, config.dim, k=config.k)
     rows = []
     for n in config.levels:

@@ -246,14 +246,3 @@ def interpolate_global(mesh, k, func, elements=None, dofmap=None):
     for i, el in enumerate(elements):
         x[dofmap.cell_dofs(i)] = el.interpolate(func)
     return x
-
-
-def dump_matrix(A, path):
-    """Write the upper triangle of a symmetric sparse matrix as text
-    lines "i j value" with 1-based indices."""
-    coo = scipy.sparse.coo_matrix(A)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            if r <= c:
-                fh.write("%d %d %.17g\n" % (r + 1, c + 1, v))

@@ -92,6 +92,53 @@ def test_mass_row0_matches_box_closed_form(family):
         assert math.isclose(el.H[0, j], exact, rel_tol=1e-12, abs_tol=1e-14), alpha
 
 
+def extruded_prism(polygon):
+    """One-cell mesh of a CCW polygon times [0, 1]."""
+    m = len(polygon)
+    verts = np.vstack([np.column_stack([polygon, np.zeros(m)]),
+                       np.column_stack([polygon, np.ones(m)])])
+    faces = [list(range(m)), list(range(m, 2 * m))]
+    faces += [[a, (a + 1) % m, (a + 1) % m + m, a + m] for a in range(m)]
+    cell = [[0, -1], [1, 1]] + [[f, 1] for f in range(2, m + 2)]
+    return pm.PolyhedralMesh3(verts, faces, [cell])
+
+
+def assert_fan_quadrature_matches_geometry(mesh, cell_id):
+    # the element's volume rule and the cell geometry share one star fan
+    g = pm.cell_geometry(mesh, cell_id)
+    el = make_element(mesh, cell_id, 2)
+    assert abs(el._qw.sum() - g.measure) <= 1e-13 * g.measure
+    centroid = el._qw @ el._qp / g.measure
+    assert np.max(np.abs(centroid - g.centroid)) <= 1e-13 * g.h
+
+
+def test_prism_star_point_falls_back_to_kernel():
+    # the tall L of test_star_center_found_when_centroid_outside_kernel
+    tall_l = np.array([[0, 0], [6, 0], [6, 1], [1, 1], [1, 6], [0, 6]], float)
+    mesh = extruded_prism(tall_l).validate()
+    g = pm.cell_geometry(mesh, 0)
+    assert math.isclose(g.measure, 11.0, rel_tol=1e-13)
+    assert np.allclose(g.centroid, [20.5 / 11, 20.5 / 11, 0.5], atol=1e-13)
+    assert g.star_center[0] <= 1.0 + 1e-9 and g.star_center[1] <= 1.0 + 1e-9
+    vertex_average = mesh.cell_points(0).mean(axis=0)
+    assert vertex_average[0] > 1.0 and vertex_average[1] > 1.0
+    assert_fan_quadrature_matches_geometry(mesh, 0)
+
+
+def test_facesplit_fan_quadrature_matches_geometry():
+    mesh = pm.generate_cube_mesh(2, "facesplit(0.2)")
+    for i in range(mesh.n_cells):
+        assert_fan_quadrature_matches_geometry(mesh, i)
+
+
+def test_prism_without_kernel_raises():
+    u_shape = np.array([[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1],
+                        [1, 3], [0, 3]], float)
+    mesh = extruded_prism(u_shape)
+    with pytest.raises(pm.KernelEmpty):
+        pm.cell_geometry(mesh, 0)
+
+
 # ---------------------------------------------------------------------------
 # projectors
 

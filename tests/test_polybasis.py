@@ -164,21 +164,6 @@ def test_tetrahedron_rule_exactness(deg):
                 assert math.isclose(got, exact, rel_tol=1e-12), (a, b, c)
 
 
-def test_segment_quadrature_weights_and_exactness():
-    p0 = np.array([0.2, -1.0])
-    p1 = np.array([1.4, 0.6])
-    pts, w = pb.segment_quadrature(p0, p1, 4)
-    length = np.linalg.norm(p1 - p0)
-    assert math.isclose(np.sum(w), length, rel_tol=1e-13)
-    # integrate x*y along the segment against a closed form in the parameter
-    t, tw = gauss01(8)
-    ref_pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    ref = length * np.sum(tw * ref_pts[:, 0] * ref_pts[:, 1])
-    # the exact line integral happens to vanish, so allow roundoff absolutely
-    assert math.isclose(np.sum(w * pts[:, 0] * pts[:, 1]), ref,
-                        rel_tol=1e-12, abs_tol=1e-13)
-
-
 def test_polygon_quadrature_matches_divergence_oracle(rng):
     for _ in range(12):
         small = rng.choice([None, 0.05, 1e-4])

@@ -308,3 +308,24 @@ def test_cli_study_bad_levels_exit_code(tmp_path, capsys):
                "--out", str(tmp_path / "bad_levels")])
     assert rc == 1
     assert "study failed:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"dim": 1, "levels": [2, 3]},
+    {"dim": 4, "levels": [2]},
+    {"levels": 4},
+    {"k": "2", "levels": [2]},
+])
+def test_bad_study_config_rejected(tmp_path, capsys, bad):
+    from polyvem.cli import main
+
+    cfg = dict(dim=2, k=1, family="uniform", case="sine",
+               out=str(tmp_path / "out"))
+    cfg.update(bad)
+    with pytest.raises(ValueError):
+        st.run_study(st.StudyConfig(**cfg))
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["study", "run", "--config", str(cfg_path)]) == 1
+    assert "study failed:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -182,28 +182,6 @@ def test_solver_auto_picks_direct_at_small_scale():
 
 
 # ---------------------------------------------------------------------------
-# matrix dump
-
-
-def test_matrix_dump_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    R = rng.uniform(-1, 1, size=(12, 12))
-    A = sp.csr_matrix(np.tril(R) + np.tril(R).T + 12 * np.eye(12))
-    path = tmp_path / "matrix.txt"
-    ps.dump_matrix(A, path)
-    lines = path.read_text().strip().splitlines()
-    rebuilt = np.zeros((12, 12))
-    for line in lines:
-        si, sj, sv = line.split()
-        i, j = int(si) - 1, int(sj) - 1
-        assert i <= j
-        v = float(sv)
-        rebuilt[i, j] = v
-        rebuilt[j, i] = v
-    assert np.array_equal(rebuilt, A.toarray())
-
-
-# ---------------------------------------------------------------------------
 # boundary injection (test-only lifting mode)
 
 
