@@ -144,8 +144,7 @@ class Element2D:
     def _build_edges(self):
         k = self.k
         nv = len(self.points)
-        self._edge_ts = np.concatenate([[0.0], pb.edge_interior_nodes(k),
-                                        [1.0]])
+        self._edge_ts = pb.gauss_lobatto(k + 1)
         node_pts = [self.points]
         self._edge_dofs = []
         self._edge_lengths = np.empty(nv)
@@ -182,7 +181,7 @@ class Element2D:
         n = self.basis.n
 
         tg, wg = pb.gauss_legendre(k + 2)
-        lag = pb.lagrange_matrix(self._edge_ts, tg)
+        lag, _ = pb.edge_gauss_lagrange(k)
 
         B = np.zeros((n, self.layout.n_total))
         bnd_mean_dof = np.zeros(self.layout.n_total)
@@ -223,8 +222,8 @@ class Element2D:
             return S
         if kind not in ("s2", "s2tilde"):
             raise ValueError(f"unknown stabilization {kind!r}")
-        tg, wg = pb.gauss_legendre(self.k + 2)
-        dlag = pb.lagrange_matrix(self._edge_ts, tg, deriv=True)
+        _, wg = pb.gauss_legendre(self.k + 2)
+        _, dlag = pb.edge_gauss_lagrange(self.k)
         local = (dlag.T * wg) @ dlag
         for e in range(len(self.points)):
             dofs = self._edge_dofs[e]
@@ -258,7 +257,7 @@ class Element2D:
             c = np.linalg.solve(Hm, self.geometry.measure * v[self.layout.n_boundary:])
             total += c @ Hm @ c
         tg, wg = pb.gauss_legendre(k + 2)
-        lag = pb.lagrange_matrix(self._edge_ts, tg)
+        lag, _ = pb.edge_gauss_lagrange(k)
         gram = 1.0 / (np.arange(k)[:, None] + np.arange(k)[None, :] + 1.0)
         powers = tg[:, None] ** np.arange(k)
         edge_total = 0.0

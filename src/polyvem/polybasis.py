@@ -42,6 +42,20 @@ def n_poly(dim, degree):
     return math.comb(degree + dim, dim)
 
 
+@functools.cache
+def _derivative_pattern(dim, degree):
+    """Integer D_d with d/dx_d m_alpha = sum_beta D_d[alpha, beta] m_beta at
+    unit scale, stacked as (dim, n, n). Cached, read-only."""
+    indices = multi_indices(dim, degree)
+    index_of = {tuple(a): i for i, a in enumerate(indices)}
+    pattern = np.zeros((dim, len(indices), len(indices)), dtype=int)
+    for i, alpha in enumerate(indices):
+        for d in np.flatnonzero(alpha):
+            lowered = tuple(alpha - (np.arange(dim) == d))
+            pattern[d, i, index_of[lowered]] = alpha[d]
+    return _read_only(pattern)
+
+
 class ScaledMonomialBasis:
     """Monomials ((x - center)/scale)^alpha up to a total degree."""
 
@@ -52,46 +66,59 @@ class ScaledMonomialBasis:
         self.scale = float(scale)
         self.indices = multi_indices(dim, degree)
         self.n = len(self.indices)
+        self._maps = _read_only(
+            _derivative_pattern(dim, degree) / self.scale)
+        # where each monomial's factor per dim sits in the power table
+        offsets = (degree + 1) * np.arange(dim)[:, None]
+        self._columns = self.indices.T + offsets
+        self._lowered_columns = np.maximum(self.indices.T - 1, 0) + offsets
+
+    def _powers(self, pts):
+        """Table P[:, d * (degree + 1) + j] = rel[:, d] ** j of the scaled
+        offsets rel, bit for bit the pow values of rel ** alpha: columns 0
+        and 1 are exact, the rest get a full exponent array, since numpy
+        squares (rounding unlike pow) for a scalar or stride-0 exponent 2.
+        """
+        rel = (np.atleast_2d(pts) - self.center) / self.scale
+        P = np.ones(rel.shape + (self.degree + 1,))
+        if self.degree >= 1:
+            P[:, :, 1] = rel
+        if self.degree >= 2:
+            exponents = np.empty(rel.shape + (self.degree - 1,))
+            exponents[:] = np.arange(2.0, self.degree + 1)
+            P[:, :, 2:] = rel[:, :, None] ** exponents
+        return P.reshape(len(rel), -1)
 
     def eval(self, pts):
         """Values at pts (npts, dim), returned as (npts, n)."""
-        rel = (np.atleast_2d(pts) - self.center) / self.scale
-        # rel[:, d] ** indices[:, d], multiplied over d
-        vals = np.ones((len(rel), self.n))
-        for d in range(self.dim):
-            vals *= rel[:, d, None] ** self.indices[None, :, d]
+        P = self._powers(pts)
+        # rel[:, d] ** indices[:, d], multiplied over d. np.take keeps
+        # the result C-ordered (P[:, cols] would not), and BLAS products
+        # of eval results (mass matrices) round differently by layout
+        vals = np.take(P, self._columns[0], axis=1)
+        for d in range(1, self.dim):
+            vals *= np.take(P, self._columns[d], axis=1)
         return vals
 
     def grad(self, pts):
         """Gradients at pts, returned as (npts, n, dim)."""
-        rel = (np.atleast_2d(pts) - self.center) / self.scale
-        grads = np.empty((len(rel), self.n, self.dim))
+        P = self._powers(pts)
+        grads = np.empty((len(P), self.n, self.dim))
         for d in range(self.dim):
-            part = np.full((len(rel), self.n), 1.0 / self.scale)
+            part = np.full((len(P), self.n), 1.0 / self.scale)
             for e in range(self.dim):
                 a = self.indices[:, e]
                 if e == d:
-                    lowered = np.where(a > 0, a - 1, 0)
-                    part *= a * rel[:, e, None] ** lowered[None, :]
+                    part *= a * np.take(P, self._lowered_columns[e], axis=1)
                 else:
-                    part *= rel[:, e, None] ** a[None, :]
+                    part *= np.take(P, self._columns[e], axis=1)
             grads[:, :, d] = part
         return grads
 
     def derivative_maps(self):
-        """Matrices D_d with d/dx_d m_alpha = sum_beta D_d[alpha, beta] m_beta."""
-        index_of = {tuple(a): i for i, a in enumerate(self.indices)}
-        maps = []
-        for d in range(self.dim):
-            D = np.zeros((self.n, self.n))
-            for i, alpha in enumerate(self.indices):
-                if alpha[d] == 0:
-                    continue
-                lowered = tuple(a - 1 if e == d else a
-                                for e, a in enumerate(alpha))
-                D[i, index_of[lowered]] = alpha[d] / self.scale
-            maps.append(D)
-        return maps
+        """Matrices D_d with d/dx_d m_alpha = sum_beta D_d[alpha, beta] m_beta,
+        stacked as (dim, n, n). Built once per basis, read-only."""
+        return self._maps
 
     def laplacian_map(self):
         """Matrix L with laplacian(m_alpha) = sum_beta L[alpha, beta] m_beta."""
@@ -106,30 +133,30 @@ class ScaledMonomialBasis:
 # 1D rules and nodes
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 @functools.cache
 def gauss_legendre(n):
     """n-point Gauss rule on [0, 1]; weights sum to 1. Cached, read-only."""
     t, w = np.polynomial.legendre.leggauss(n)
-    return _read_only(0.5 * (t + 1.0), 0.5 * w)
+    return _read_only(0.5 * (t + 1.0)), _read_only(0.5 * w)
 
 
+@functools.cache
 def gauss_lobatto(n):
-    """n Gauss-Lobatto nodes on [0, 1] including both endpoints."""
+    """n Gauss-Lobatto nodes on [0, 1] including both endpoints. Cached,
+    read-only."""
     if n < 2:
         raise ValueError("Lobatto rules need at least 2 nodes")
-    if n == 2:
-        return np.array([0.0, 1.0])
     # interior nodes are the extrema of the Legendre polynomial P_{n-1}
     leg = np.zeros(n)
     leg[n - 1] = 1.0
     interior = np.sort(np.polynomial.legendre.Legendre(leg).deriv().roots())
-    return np.concatenate([[0.0], 0.5 * (interior + 1.0), [1.0]])
+    nodes = np.concatenate([[0.0], 0.5 * (interior + 1.0), [1.0]])
+    return _read_only(nodes)
 
 
 def edge_interior_nodes(k):
@@ -156,7 +183,7 @@ def triangle_rule(degree):
     x = U.ravel()
     y = (V * (1.0 - U)).ravel()
     wt = (WU * WV * (1.0 - U)).ravel()
-    return _read_only(np.column_stack([x, y]), wt)
+    return _read_only(np.column_stack([x, y])), _read_only(wt)
 
 
 @functools.cache
@@ -171,7 +198,7 @@ def tetrahedron_rule(degree):
     y = (V * (1.0 - U)).ravel()
     z = (W * (1.0 - U) * (1.0 - V)).ravel()
     wt = (WU * WV * WW * (1.0 - U) ** 2 * (1.0 - V)).ravel()
-    return _read_only(np.column_stack([x, y, z]), wt)
+    return _read_only(np.column_stack([x, y, z])), _read_only(wt)
 
 
 def polygon_quadrature(points, star_center, degree):
@@ -211,46 +238,7 @@ def stiffness_from_mass(basis, H):
 
 
 # ---------------------------------------------------------------------------
-# edge traces
-
-
-def edge_trace_matrix(basis, p0, p1):
-    """Coefficients (in powers of t on [0,1]) of each m_alpha along the edge."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    # each scaled coordinate restricts to the linear a_d + t b_d
-    a = (p0 - basis.center) / basis.scale
-    b = (p1 - p0) / basis.scale
-    k = basis.degree
-    T = np.zeros((basis.n, k + 1))
-    # precompute powers of each coordinate's linear as 1D polynomials
-    coord_pows = []
-    for d in range(len(a)):
-        pows = [np.array([1.0])]
-        for _ in range(k):
-            pows.append(np.polynomial.polynomial.polymul(
-                pows[-1], np.array([a[d], b[d]])))
-        coord_pows.append(pows)
-    for i, alpha in enumerate(basis.indices):
-        poly = np.array([1.0])
-        for d, e in enumerate(alpha):
-            poly = np.polynomial.polynomial.polymul(poly, coord_pows[d][e])
-        T[i, : len(poly)] = poly
-    return T
-
-
-def normal_derivative_trace_matrix(basis, p0, p1, normal):
-    """Coefficients (powers of t) of n . grad m_alpha along the edge.
-
-    The result has degree k-1, returned with max(k, 1) columns.
-    """
-    T = edge_trace_matrix(basis, p0, p1)
-    M = np.zeros((basis.n, basis.n))
-    for d, D in enumerate(basis.derivative_maps()):
-        M += normal[d] * D
-    full = M @ T
-    cols = max(basis.degree, 1)
-    return full[:, :cols]
+# nodal edge traces
 
 
 def lagrange_matrix(nodes, ts, deriv=False):
@@ -275,6 +263,16 @@ def lagrange_matrix(nodes, ts, deriv=False):
                 acc += np.prod(ts[:, None] - rest[None, :], axis=1)
             out[:, i] = acc / denom
     return out
+
+
+@functools.cache
+def edge_gauss_lagrange(k):
+    """Values and derivatives of the Lagrange basis on the k+1 Lobatto
+    nodes of a degree-k edge, at its k+2 Gauss points. Cached, read-only."""
+    nodes = gauss_lobatto(k + 1)
+    tg, _ = gauss_legendre(k + 2)
+    return (_read_only(lagrange_matrix(nodes, tg)),
+            _read_only(lagrange_matrix(nodes, tg, deriv=True)))
 
 
 def orthonormal_change(H):

@@ -159,7 +159,7 @@ def get_case(name, dim, k=None):
 def _linf_edges(mesh, k, dofmap, x_full, case, linf_factor):
     """Worst pointwise deviation of the edge traces from the exact
     solution, sampled at Chebyshev points plus the endpoints."""
-    node_ts = np.concatenate([[0.0], pb.edge_interior_nodes(k), [1.0]])
+    node_ts = pb.gauss_lobatto(k + 1)
     nch = linf_factor * (4 * k + 1)
     cheb = 0.5 - 0.5 * np.cos(np.pi * (2 * np.arange(nch) + 1) / (2 * nch))
     ts = np.concatenate([[0.0], cheb, [1.0]])
@@ -313,7 +313,8 @@ def run_study(config):
         errs = compute_errors(mesh, config.k, system, x, case)
         row = {"n": int(n),
                "h": float(max(el.geometry.h for el in system.elements)),
-               "ndof": int(system.dofmap.n_total)}
+               "ndof": int(system.dofmap.n_total),
+               "nnz": int(system.A.nnz)}
         row.update(("err_" + key, float(errs[key])) for key in ERROR_KEYS)
         row["tau_max"] = float(quality.max_tau)
         row["alpha_h"] = float(quality.alpha_h)
@@ -321,7 +322,8 @@ def run_study(config):
                          else float(quality.beta_h))
         row["solver"] = {"method": info.method,
                          "converged": bool(info.converged),
-                         "iterations": int(info.iterations)}
+                         "iterations": int(info.iterations),
+                         "residual": float(info.residual)}
         rows.append(row)
 
     hs = [row["h"] for row in rows]

@@ -1,9 +1,14 @@
-"""Standalone dense evaluation of the lowest-order local stiffness matrix.
+"""Standalone dense references for the polyvem package.
 
 Builds the k=1 virtual element stiffness matrix for the unit square from
 first principles with explicit dense linear algebra: energy projector from
 the constrained 3x3 system, stabilization applied to the projector residual.
 Shares no code with the polyvem package; used to freeze oracle fixtures.
+
+It also expands the edge traces of a scaled monomial basis (and of their
+normal derivatives) into powers of t by polynomial multiplication, the
+reference for the traces the elements evaluate directly at Gauss points.
+These read only the basis' center, scale, indices and derivative maps.
 
 Run as a script to (re)generate tests/fixtures/klocal_unit_square_k1_*.json.
 """
@@ -94,6 +99,49 @@ def klocal_unit_square_k1(stab):
 
     k_mat = pi_star.T @ g_tilde @ pi_star + resid.T @ s_mat @ resid
     return 0.5 * (k_mat + k_mat.T)
+
+
+# ---------------------------------------------------------------------------
+# edge traces in powers of t
+
+
+def edge_trace_matrix(basis, p0, p1):
+    """Coefficients (in powers of t on [0,1]) of each m_alpha along the edge."""
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    # each scaled coordinate restricts to the linear a_d + t b_d
+    a = (p0 - basis.center) / basis.scale
+    b = (p1 - p0) / basis.scale
+    k = basis.degree
+    T = np.zeros((basis.n, k + 1))
+    # precompute powers of each coordinate's linear as 1D polynomials
+    coord_pows = []
+    for d in range(len(a)):
+        pows = [np.array([1.0])]
+        for _ in range(k):
+            pows.append(np.polynomial.polynomial.polymul(
+                pows[-1], np.array([a[d], b[d]])))
+        coord_pows.append(pows)
+    for i, alpha in enumerate(basis.indices):
+        poly = np.array([1.0])
+        for d, e in enumerate(alpha):
+            poly = np.polynomial.polynomial.polymul(poly, coord_pows[d][e])
+        T[i, : len(poly)] = poly
+    return T
+
+
+def normal_derivative_trace_matrix(basis, p0, p1, normal):
+    """Coefficients (powers of t) of n . grad m_alpha along the edge.
+
+    The result has degree k-1, returned with max(k, 1) columns.
+    """
+    T = edge_trace_matrix(basis, p0, p1)
+    M = np.zeros((basis.n, basis.n))
+    for d, D in enumerate(basis.derivative_maps()):
+        M += normal[d] * D
+    full = M @ T
+    cols = max(basis.degree, 1)
+    return full[:, :cols]
 
 
 def main():

@@ -11,6 +11,7 @@ from conftest import (
     integrate_monomial_over_polygon,
     random_star_polygon,
 )
+from dense_oracle import edge_trace_matrix, normal_derivative_trace_matrix
 from polyvem import polybasis as pb
 
 
@@ -75,6 +76,41 @@ def test_eval_matches_direct_powers(rng):
         assert np.allclose(vals[:, j], direct, rtol=1e-13, atol=1e-13)
 
 
+def _direct_eval_and_grad(basis, pts):
+    # the textbook formulas, one pow per (point, monomial, dim)
+    rel = (pts - basis.center) / basis.scale
+    alpha = basis.indices
+    vals = np.prod(rel[:, None, :] ** alpha[None], axis=2)
+    grads = np.empty(vals.shape + (basis.dim,))
+    for d in range(basis.dim):
+        lowered = alpha.copy()
+        lowered[:, d] = np.maximum(alpha[:, d] - 1, 0)
+        grads[:, :, d] = alpha[:, d] / basis.scale * np.prod(
+            rel[:, None, :] ** lowered[None], axis=2)
+    return vals, grads
+
+
+@pytest.mark.parametrize("degree", range(7))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_eval_and_grad_match_direct_formula(rng, dim, degree):
+    # eval/grad read a power table instead of calling pow per monomial;
+    # that must not move any value, nor leave a non-C-ordered result
+    # (BLAS products of them would round differently)
+    center = rng.uniform(-1, 1, size=dim)
+    scale = 0.7
+    for npts in (1, 3, 5, 10_000):
+        pts = center + scale * rng.uniform(-1, 1, size=(npts, dim))
+        pts[0] = center
+        if npts > 1:
+            pts[1] = center + scale * 1e3 * rng.choice([-1, 1], size=dim)
+        basis = pb.ScaledMonomialBasis(dim, degree, center, scale)
+        vals, grads = basis.eval(pts), basis.grad(pts)
+        direct_vals, direct_grads = _direct_eval_and_grad(basis, pts)
+        np.testing.assert_allclose(vals, direct_vals, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(grads, direct_grads, rtol=1e-15, atol=0)
+        assert vals.flags.c_contiguous and grads.flags.c_contiguous
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_derivative_maps_match_gradient(rng, dim):
     center = rng.uniform(-1, 1, size=dim)
@@ -83,6 +119,8 @@ def test_derivative_maps_match_gradient(rng, dim):
     vals = basis.eval(pts)
     grads = basis.grad(pts)
     maps = basis.derivative_maps()
+    # built once per basis and shared by its callers, so read-only
+    assert basis.derivative_maps() is maps and not maps.flags.writeable
     for d in range(dim):
         # d/dx_d m_alpha expressed back in the basis must equal grad
         assert np.allclose(vals @ maps[d].T, grads[:, :, d], rtol=1e-12, atol=1e-12)
@@ -110,12 +148,19 @@ def test_gauss_legendre_unit_interval_exactness(n):
         assert math.isclose(np.sum(w * t**j), 1.0 / (j + 1), rel_tol=1e-13)
 
 
-@pytest.mark.parametrize("rule, arg", [(pb.gauss_legendre, 3),
-                                       (pb.triangle_rule, 4),
-                                       (pb.tetrahedron_rule, 2)])
+@pytest.mark.parametrize("rule, arg", [
+    (pb.gauss_legendre, 3),
+    (pb.triangle_rule, 4),
+    (pb.tetrahedron_rule, 2),
+    pytest.param(lambda n: (pb.gauss_lobatto(n),), 5, id="gauss_lobatto-5"),
+    (pb.edge_gauss_lagrange, 3),
+    pytest.param(lambda k: (pb._derivative_pattern(3, k),), 2,
+                 id="derivative_pattern-2"),
+])
 def test_cached_rules_are_read_only(rule, arg):
     # the rules are shared by every element: an in-place edit must fail
     # instead of silently corrupting every element built after it
+    assert all(a is b for a, b in zip(rule(arg), rule(arg)))
     for a in rule(arg):
         with pytest.raises(ValueError):
             a[0] = 0.0
@@ -343,7 +388,7 @@ def test_edge_trace_constant_and_linear():
     basis = pb.ScaledMonomialBasis(2, 1, center=center, scale=h)
     p0 = np.array([0.0, 0.0])
     p1 = np.array([1.0, 0.0])
-    T = pb.edge_trace_matrix(basis, p0, p1)
+    T = edge_trace_matrix(basis, p0, p1)
     # row alpha holds coefficients of m_alpha(x(t)) in powers of t on [0,1]
     assert np.allclose(T[0], [1.0, 0.0])
     # m_(1,0) along the bottom edge: (t - 0.5)/h -> [-0.5/h, 1/h]
@@ -357,7 +402,7 @@ def test_edge_trace_evaluates_correctly(rng):
     h = 0.9
     basis = pb.ScaledMonomialBasis(2, 3, center=center, scale=h)
     p0, p1 = rng.uniform(-1, 1, size=(2, 2))
-    T = pb.edge_trace_matrix(basis, p0, p1)
+    T = edge_trace_matrix(basis, p0, p1)
     t = np.linspace(0, 1, 7)
     pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
     vals = basis.eval(pts)
@@ -373,7 +418,7 @@ def test_normal_derivative_trace_frozen_examples():
     p0 = np.array([0.0, 0.0])
     p1 = np.array([1.0, 0.0])
     n = np.array([0.0, -1.0])  # outward on the bottom edge
-    Tn = pb.normal_derivative_trace_matrix(basis1, p0, p1, n)
+    Tn = normal_derivative_trace_matrix(basis1, p0, p1, n)
     assert Tn.shape == (3, 1)
     assert np.allclose(Tn[0], [0.0])
     assert np.allclose(Tn[1], [0.0])          # n . grad m_(1,0) = 0
@@ -383,7 +428,7 @@ def test_normal_derivative_trace_frozen_examples():
     basis2 = pb.ScaledMonomialBasis(2, 2, center=center, scale=h)
     q0 = np.array([1.0, 0.0])
     q1 = np.array([1.0, 1.0])
-    Tn2 = pb.normal_derivative_trace_matrix(basis2, q0, q1, np.array([1.0, 0.0]))
+    Tn2 = normal_derivative_trace_matrix(basis2, q0, q1, np.array([1.0, 0.0]))
     row = Tn2[3]  # alpha = (2,0)
     assert np.allclose(row, [1.0 / h**2, 0.0])
 
@@ -394,7 +439,7 @@ def test_normal_derivative_trace_evaluates_correctly(rng):
     p0, p1 = rng.uniform(-1, 1, size=(2, 2))
     d = p1 - p0
     n = np.array([d[1], -d[0]]) / np.linalg.norm(d)
-    Tn = pb.normal_derivative_trace_matrix(basis, p0, p1, n)
+    Tn = normal_derivative_trace_matrix(basis, p0, p1, n)
     t = np.linspace(0, 1, 6)
     pts = p0[None, :] + t[:, None] * d[None, :]
     grads = basis.grad(pts)
@@ -418,12 +463,12 @@ def test_edge_gauss_values_match_trace_matrices(rng, k, small_edge):
             d = p1 - p0
             n = np.array([d[1], -d[0]]) / np.linalg.norm(d)
             qp = p0 + t[:, None] * d
-            T = pb.edge_trace_matrix(basis, p0, p1)
+            T = edge_trace_matrix(basis, p0, p1)
             via_trace = T @ (t[:, None] ** np.arange(T.shape[1])).T
             direct = basis.eval(qp).T
             np.testing.assert_allclose(direct, via_trace, rtol=1e-13,
                                        atol=1e-13 * np.abs(via_trace).max())
-            Tn = pb.normal_derivative_trace_matrix(basis, p0, p1, n)
+            Tn = normal_derivative_trace_matrix(basis, p0, p1, n)
             via_trace = Tn @ (t[:, None] ** np.arange(Tn.shape[1])).T
             direct = (basis.grad(qp) @ n).T
             np.testing.assert_allclose(direct, via_trace, rtol=1e-13,

@@ -194,6 +194,11 @@ def test_run_study_report_files(tmp_path):
     assert set(data["slopes"]) == {"energy", "h1_pinabla", "h1_pizero",
                                    "l2_pizero", "l2_pinabla", "linf_edge"}
     assert data["config"]["family"] == "uniform"
+    # per level: the sparsity of the solved system and the solve's own
+    # relative residual, which the CSV leaves out
+    for lv in data["levels"]:
+        assert 0 < lv["nnz"] <= lv["ndof"] ** 2
+        assert 0.0 <= lv["solver"]["residual"] <= 1e-8
     rates = (out / "rates.dat").read_text()
     assert rates.startswith("#")
     assert report["slopes"]["l2_pizero"] == data["slopes"]["l2_pizero"]
