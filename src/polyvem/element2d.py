@@ -106,15 +106,21 @@ def _local_load(el, f, nm):
     return C.T @ mvec
 
 
+def _moments(el, func, nm):
+    """The scaled moments of func against the first nm monomials of an
+    element, on its volume quadrature."""
+    fvals = np.asarray(func(el._qp), dtype=float)
+    vals = el.basis.eval(el._qp)[:, :nm]
+    return (vals.T * el._qw) @ fvals / el.geometry.measure
+
+
 def _interpolate(el, func, nm):
     """Interpolant dofs at the nodes and cell moments; others left unset."""
     dofs = np.empty(el.layout.n_total)
     nb = el.layout.n_boundary
     dofs[:nb] = np.asarray(func(el._node_points), dtype=float)
     if nm:
-        fvals = np.asarray(func(el._qp), dtype=float)
-        vals = el.basis.eval(el._qp)[:, :nm]
-        dofs[-nm:] = (vals.T * el._qw) @ fvals / el.geometry.measure
+        dofs[-nm:] = _moments(el, func, nm)
     return dofs
 
 

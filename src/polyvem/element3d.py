@@ -11,7 +11,7 @@ import numpy as np
 
 from . import polybasis as pb
 from .element2d import (Element2D, _interpolate, _local_load,
-                        _local_stiffness, _solve_projectors)
+                        _local_stiffness, _moments, _solve_projectors)
 from .mesh import cell_geometry
 
 
@@ -66,12 +66,11 @@ class CellDofLayout3:
             loop = mesh.faces[fid]
             idx = [self._vertex_pos[v] for v in loop]
             nv = len(self.vertex_ids)
-            for a, b in zip(loop, loop[1:] + loop[:1]):
-                lo, hi = (a, b) if a < b else (b, a)
-                eid = mesh.edge_lookup[(lo, hi)]
+            for a, b, eid in zip(loop, loop[1:] + loop[:1],
+                                 mesh.face_edge_ids[fid]):
                 base = nv + self._edge_pos[eid] * (k - 1)
                 nodes = range(base, base + k - 1)
-                idx.extend(nodes if a == lo else reversed(nodes))
+                idx.extend(nodes if a < b else reversed(nodes))
             start = self.n_boundary + lf * nmf
             idx.extend(range(start, start + nmf))
             self._faces.append(np.array(idx, dtype=int))
@@ -84,14 +83,12 @@ class CellDofLayout3:
 class Element3D:
     """Degree-k virtual element on a star-shaped polyhedron."""
 
-    def __init__(self, mesh, cell_id, k, cache=None):
+    def __init__(self, mesh, cell_id, k, cache):
         if k < 1:
             raise ValueError("polynomial degree must be at least 1")
         self.k = k
         self.mesh = mesh
         self.cell_id = cell_id
-        if cache is None:
-            cache = build_face_cache(mesh, k)
         self.layout = CellDofLayout3(mesh, cell_id, k)
         self._faces = [cache[fid] for fid in self.layout.face_ids]
         self._signs = [sign for _, sign in mesh.cells[cell_id]]
@@ -113,7 +110,7 @@ class Element3D:
         if self.k > 1:
             ts = pb.edge_interior_nodes(self.k)
             for eid in self.layout.edge_ids:
-                lo, hi = sorted(self.mesh.edges[eid])
+                lo, hi = self.mesh.edges[eid]
                 pts.append(verts[lo] + ts[:, None] * (verts[hi] - verts[lo]))
         self._node_points = np.concatenate(pts)
 
@@ -126,11 +123,7 @@ class Element3D:
         star = self.geometry.star_center
         tets, _ = self.mesh._fan_tetrahedra(self.cell_id, star)
         E = tets[:, 1:] - star
-        det = np.abs(np.linalg.det(E))
-        keep = det != 0.0
-        tp, tw = pb.tetrahedron_rule(degree)
-        qp = star + tp @ E[keep]
-        return qp.reshape(-1, 3), (det[keep, None] * tw).ravel()
+        return pb._fan_quadrature(star, E, np.abs(np.linalg.det(E)), degree)
 
     # -- dof matrix and projectors --------------------------------------------
 
@@ -213,8 +206,11 @@ class Element3D:
         """Dof vector of the interpolant of a function given pointwise."""
         lay = self.layout
         dofs = _interpolate(self, func, lay.n_cell_moments)
-        for lf, face in enumerate(self._faces):
+        # node values stay those taken at the cell's own node points
+        nmf = pb.n_poly(2, self.k - 2)
+        for lf, face in enumerate(self._faces if nmf else ()):
             frame = face.frame
-            trace = lambda q2: func(frame.to3d(q2))
-            dofs[lay.face_dof_indices(lf)] = face.element.interpolate(trace)
+            start = lay.n_boundary + lf * nmf
+            dofs[start:start + nmf] = _moments(
+                face.element, lambda q2: func(frame.to3d(q2)), nmf)
         return dofs

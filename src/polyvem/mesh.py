@@ -141,6 +141,33 @@ class FaceFrame:
 # mesh containers
 
 
+def _number_edges(mesh, loops):
+    """Number the segments of the vertex loops by first appearance.
+
+    Sets mesh.edges, one (lower, higher) vertex id row per edge, and
+    mesh.n_edges. Returns the edge ids of each loop's segments, in loop
+    order, and the number of segments on each edge.
+    """
+    lookup = {}
+    counts = []
+    loop_ids = []
+    for loop in loops:
+        ids = []
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            key = (a, b) if a < b else (b, a)
+            eid = lookup.get(key)
+            if eid is None:
+                eid = len(lookup)
+                lookup[key] = eid
+                counts.append(0)
+            counts[eid] += 1
+            ids.append(eid)
+        loop_ids.append(ids)
+    mesh.edges = np.array(list(lookup), dtype=int).reshape(-1, 2)
+    mesh.n_edges = len(mesh.edges)
+    return loop_ids, np.array(counts, dtype=int)
+
+
 class PolygonalMesh2:
     """A 2D mesh: vertices plus counterclockwise cell loops."""
 
@@ -151,28 +178,8 @@ class PolygonalMesh2:
         self.cells = [[int(v) for v in loop] for loop in cells]
         self.n_vertices = len(self.vertices)
         self.n_cells = len(self.cells)
-        self._build_edges()
-
-    def _build_edges(self):
-        lookup = {}
-        counts = []
-        self.cell_edge_ids = []
-        for loop in self.cells:
-            ids = []
-            for a, b in zip(loop, loop[1:] + loop[:1]):
-                key = (a, b) if a < b else (b, a)
-                eid = lookup.get(key)
-                if eid is None:
-                    eid = len(lookup)
-                    lookup[key] = eid
-                    counts.append(0)
-                counts[eid] += 1
-                ids.append(eid)
-            self.cell_edge_ids.append(ids)
-        self.edges = np.array(list(lookup), dtype=int).reshape(-1, 2)
-        self.edge_lookup = lookup
-        self.n_edges = len(self.edges)
-        self.boundary_edges = np.array(counts, dtype=int) == 1
+        self.cell_edge_ids, counts = _number_edges(self, self.cells)
+        self.boundary_edges = counts == 1
         self.boundary_vertices = np.zeros(self.n_vertices, dtype=bool)
         if self.n_edges:
             self.boundary_vertices[self.edges[self.boundary_edges].ravel()] = True
@@ -222,26 +229,8 @@ class PolyhedralMesh3:
         self.n_vertices = len(self.vertices)
         self.n_faces = len(self.faces)
         self.n_cells = len(self.cells)
-        self._build_incidence()
         self._charts = {}
-
-    def _build_incidence(self):
-        lookup = {}
-        self.face_edge_ids = []
-        for loop in self.faces:
-            ids = []
-            for a, b in zip(loop, loop[1:] + loop[:1]):
-                key = (a, b) if a < b else (b, a)
-                eid = lookup.get(key)
-                if eid is None:
-                    eid = len(lookup)
-                    lookup[key] = eid
-                ids.append(eid)
-            self.face_edge_ids.append(ids)
-        self.edges = np.array(list(lookup), dtype=int).reshape(-1, 2)
-        self.edge_lookup = lookup
-        self.n_edges = len(self.edges)
-
+        self.face_edge_ids, _ = _number_edges(self, self.faces)
         counts = np.zeros(self.n_faces, dtype=int)
         for cell in self.cells:
             for fid, _ in cell:
@@ -580,8 +569,8 @@ def generate_cube_mesh(n, family="uniform"):
     return _cube_facesplit(n, _parse_eps(arg))
 
 
-def _cube_structure(n):
-    """Vertices, quad face loops, and signed cells of the uniform cube."""
+def _cube_uniform(n):
+    """The uniform cube grid: quad face loops and signed cells."""
     side = np.arange(n + 1) / n
     X, Y, Z = np.meshgrid(side, side, side, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
@@ -619,36 +608,20 @@ def _cube_structure(n):
                 cells.append([[fx[(i, j, k)], -1], [fx[(i + 1, j, k)], 1],
                               [fy[(i, j, k)], -1], [fy[(i, j + 1, k)], 1],
                               [fz[(i, j, k)], -1], [fz[(i, j, k + 1)], 1]])
-    return verts, faces, cells
-
-
-def _cube_uniform(n):
-    return PolyhedralMesh3(*_cube_structure(n))
+    return PolyhedralMesh3(verts, faces, cells)
 
 
 def _cube_facesplit(n, eps):
-    """Uniform cube grid with every segment split at relative eps from its
+    """Uniform cube grid with every edge e split by a new vertex nv + e at
+    relative eps from its lower vertex id, which on the grid is also its
     lexicographically lower endpoint, making every face an octagon."""
-    verts, faces, cells = _cube_structure(n)
-    verts = list(map(tuple, verts))
-    split = {}
-    for fid, loop in enumerate(faces):
-        for a, b in zip(loop, loop[1:] + loop[:1]):
-            key = (a, b) if a < b else (b, a)
-            if key in split:
-                continue
-            lo, hi = sorted((verts[a], verts[b]))
-            split[key] = len(verts)
-            verts.append(tuple((1.0 - eps) * l + eps * u
-                               for l, u in zip(lo, hi)))
-    out_faces = []
-    for loop in faces:
-        split_loop = []
-        for a, b in zip(loop, loop[1:] + loop[:1]):
-            key = (a, b) if a < b else (b, a)
-            split_loop.extend([a, split[key]])
-        out_faces.append(split_loop)
-    return PolyhedralMesh3(np.array(verts), out_faces, cells)
+    base = _cube_uniform(n)
+    lo, hi = base.vertices[base.edges.T]
+    verts = np.concatenate([base.vertices, (1.0 - eps) * lo + eps * hi])
+    nv = base.n_vertices
+    faces = [[v for a, e in zip(loop, ids) for v in (a, nv + e)]
+             for loop, ids in zip(base.faces, base.face_edge_ids)]
+    return PolyhedralMesh3(verts, faces, base.cells)
 
 
 # ---------------------------------------------------------------------------

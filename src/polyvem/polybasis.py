@@ -169,53 +169,51 @@ def edge_interior_nodes(k):
 
 
 @functools.cache
-def triangle_rule(degree):
-    """Quadrature on the triangle (0,0),(1,0),(0,1), exact to the degree.
+def simplex_rule(dim, degree):
+    """Quadrature on the unit simplex {x >= 0, x_0 + ... + x_{dim-1} <= 1},
+    exact to the degree.
 
-    Tensor Gauss under the Duffy substitution x=u, y=v(1-u); the extra
-    factor (1-u) raises the u-degree by one, covered by the point count.
-    Cached, read-only.
+    Tensor Gauss under the Duffy map x_d = t_d prod_{e<d} (1 - t_e); its
+    Jacobian prod_e (1 - t_e)^(dim-1-e) raises the t_e-degree by dim-1-e,
+    covered by the point count. Cached, read-only.
     """
     n = degree // 2 + 2
     t, w = gauss_legendre(n)
-    U, V = np.meshgrid(t, t, indexing="ij")
-    WU, WV = np.meshgrid(w, w, indexing="ij")
-    x = U.ravel()
-    y = (V * (1.0 - U)).ravel()
-    wt = (WU * WV * (1.0 - U)).ravel()
-    return _read_only(np.column_stack([x, y])), _read_only(wt)
+    T = np.meshgrid(*[t] * dim, indexing="ij")
+    W = np.meshgrid(*[w] * dim, indexing="ij")
+    coords = []
+    for d in range(dim):
+        x = T[d]
+        for e in range(d):
+            x = x * (1.0 - T[e])
+        coords.append(x.ravel())
+    wt = W[0]
+    for d in range(1, dim):
+        wt = wt * W[d]
+    for e in range(dim - 1):
+        wt = wt * (1.0 - T[e]) ** (dim - 1 - e)
+    return _read_only(np.column_stack(coords)), _read_only(wt.ravel())
 
 
-@functools.cache
-def tetrahedron_rule(degree):
-    """Quadrature on the unit tetrahedron, exact to the degree. Cached,
-    read-only."""
-    n = degree // 2 + 2
-    t, w = gauss_legendre(n)
-    U, V, W = np.meshgrid(t, t, t, indexing="ij")
-    WU, WV, WW = np.meshgrid(w, w, w, indexing="ij")
-    x = U.ravel()
-    y = (V * (1.0 - U)).ravel()
-    z = (W * (1.0 - U) * (1.0 - V)).ravel()
-    wt = (WU * WV * WW * (1.0 - U) ** 2 * (1.0 - V)).ravel()
-    return _read_only(np.column_stack([x, y, z])), _read_only(wt)
+def _fan_quadrature(apex, E, jac, degree):
+    """The simplex rule mapped onto each simplex apex + E[i], whose other
+    vertices are apex + E[i, j], with weights scaled by jac[i]; simplices
+    with jac == 0 are skipped."""
+    keep = jac != 0.0
+    tp, tw = simplex_rule(E.shape[-1], degree)
+    qp = apex + tp @ E[keep]
+    return qp.reshape(-1, E.shape[-1]), (jac[keep, None] * tw).ravel()
 
 
 def polygon_quadrature(points, star_center, degree):
     """Fan quadrature over a polygon star-shaped about star_center."""
-    points = np.asarray(points, dtype=float)
     c = np.asarray(star_center, dtype=float)
-    tp, tw = triangle_rule(degree)
-    qp, qw = [], []
-    n = len(points)
-    for i in range(n):
-        a, b = points[i], points[(i + 1) % n]
-        jac = (a[0] - c[0]) * (b[1] - c[1]) - (b[0] - c[0]) * (a[1] - c[1])
-        if jac == 0.0:
-            continue
-        qp.append(c + tp @ np.array([a - c, b - c]))
-        qw.append(tw * jac)
-    return np.concatenate(qp), np.concatenate(qw)
+    E = np.empty((len(points), 2, 2))
+    E[:, 0] = np.asarray(points, dtype=float) - c
+    E[:-1, 1] = E[1:, 0]
+    E[-1, 1] = E[0, 0]
+    jac = E[:, 0, 0] * E[:, 1, 1] - E[:, 1, 0] * E[:, 0, 1]
+    return _fan_quadrature(c, E, jac, degree)
 
 
 # ---------------------------------------------------------------------------

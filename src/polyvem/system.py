@@ -103,24 +103,21 @@ class GlobalDofMap:
         return np.array(idx, dtype=int)
 
 
-def build_elements(mesh, k, cache=None):
+def build_elements(mesh, k):
     """The local element of every cell, sharing one face cache in 3D."""
     if mesh.dim == 2:
         return [Element2D(mesh.cell_points(i), k)
                 for i in range(mesh.n_cells)]
-    if cache is None:
-        cache = build_face_cache(mesh, k)
+    cache = build_face_cache(mesh, k)
     return [Element3D(mesh, i, k, cache) for i in range(mesh.n_cells)]
 
 
 class GlobalSystem:
     """Assembled stiffness and load with Dirichlet elimination applied."""
 
-    def __init__(self, mesh, k, stabilization, dofmap, elements,
-                 A_full, b_full):
+    def __init__(self, mesh, k, dofmap, elements, A_full, b_full):
         self.mesh = mesh
         self.k = k
-        self.stabilization = stabilization
         self.dofmap = dofmap
         self.elements = elements
         self.A_full = A_full
@@ -180,8 +177,7 @@ def assemble(mesh, k, stabilization=None, f=None, boundary_values=None):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dofmap.n_total, dofmap.n_total)).tocsr()
 
-    system = GlobalSystem(mesh, k, stabilization, dofmap, elements,
-                          A_full, b_full)
+    system = GlobalSystem(mesh, k, dofmap, elements, A_full, b_full)
     if boundary_values is not None:
         system.apply_boundary_values(boundary_values)
     return system

@@ -10,6 +10,13 @@ normal derivatives) into powers of t by polynomial multiplication, the
 reference for the traces the elements evaluate directly at Gauss points.
 These read only the basis' center, scale, indices and derivative maps.
 
+Finally it keeps reference forms of the quadrature and mesh code that the
+package shares between dimensions: a triangle and a tetrahedron rule written
+out coordinate by coordinate, the polygon fan built one edge at a time, and
+the cube face split with its own segment numbering. The package's
+simplex_rule, polygon_quadrature and facesplit meshes must equal them bit
+for bit.
+
 Run as a script to (re)generate tests/fixtures/klocal_unit_square_k1_*.json.
 """
 
@@ -142,6 +149,93 @@ def normal_derivative_trace_matrix(basis, p0, p1, normal):
     full = M @ T
     cols = max(basis.degree, 1)
     return full[:, :cols]
+
+
+# ---------------------------------------------------------------------------
+# simplex rules, the polygon fan and the cube face split, written out
+
+
+def _gauss01(n):
+    t, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (t + 1.0), 0.5 * w
+
+
+def triangle_rule(degree):
+    """Duffy rule on the triangle (0,0),(1,0),(0,1): x=u, y=v(1-u)."""
+    t, w = _gauss01(degree // 2 + 2)
+    U, V = np.meshgrid(t, t, indexing="ij")
+    WU, WV = np.meshgrid(w, w, indexing="ij")
+    x = U.ravel()
+    y = (V * (1.0 - U)).ravel()
+    wt = (WU * WV * (1.0 - U)).ravel()
+    return np.column_stack([x, y]), wt
+
+
+def tetrahedron_rule(degree):
+    """Duffy rule on the unit tetrahedron."""
+    t, w = _gauss01(degree // 2 + 2)
+    U, V, W = np.meshgrid(t, t, t, indexing="ij")
+    WU, WV, WW = np.meshgrid(w, w, w, indexing="ij")
+    x = U.ravel()
+    y = (V * (1.0 - U)).ravel()
+    z = (W * (1.0 - U) * (1.0 - V)).ravel()
+    wt = (WU * WV * WW * (1.0 - U) ** 2 * (1.0 - V)).ravel()
+    return np.column_stack([x, y, z]), wt
+
+
+def polygon_quadrature(points, star_center, degree):
+    """Triangle rule mapped onto each fan triangle (c, p_i, p_i+1) in
+    turn, skipping those with a zero Jacobian."""
+    points = np.asarray(points, dtype=float)
+    c = np.asarray(star_center, dtype=float)
+    tp, tw = triangle_rule(degree)
+    qp, qw = [], []
+    n = len(points)
+    for i in range(n):
+        a, b = points[i], points[(i + 1) % n]
+        jac = (a[0] - c[0]) * (b[1] - c[1]) - (b[0] - c[0]) * (a[1] - c[1])
+        if jac == 0.0:
+            continue
+        qp.append(c + tp @ np.array([a - c, b - c]))
+        qw.append(tw * jac)
+    return np.concatenate(qp), np.concatenate(qw)
+
+
+def number_edges(loops):
+    """Edges (lower, higher) of the loops' segments by first appearance,
+    and the edge ids of each loop."""
+    lookup = {}
+    ids = []
+    for loop in loops:
+        ids.append([])
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            key = (a, b) if a < b else (b, a)
+            ids[-1].append(lookup.setdefault(key, len(lookup)))
+    return np.array(list(lookup), dtype=int).reshape(-1, 2), ids
+
+
+def cube_facesplit(verts, faces, eps):
+    """Vertices and face loops of a cube grid (verts, faces) with every
+    segment split at relative eps from its lexicographically lower end."""
+    verts = list(map(tuple, verts))
+    split = {}
+    for loop in faces:
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            key = (a, b) if a < b else (b, a)
+            if key in split:
+                continue
+            lo, hi = sorted((verts[a], verts[b]))
+            split[key] = len(verts)
+            verts.append(tuple((1.0 - eps) * l + eps * u
+                               for l, u in zip(lo, hi)))
+    out_faces = []
+    for loop in faces:
+        split_loop = []
+        for a, b in zip(loop, loop[1:] + loop[:1]):
+            key = (a, b) if a < b else (b, a)
+            split_loop.extend([a, split[key]])
+        out_faces.append(split_loop)
+    return np.array(verts), out_faces
 
 
 def main():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 from conftest import poly_area
 from polyvem import mesh as pm
 
@@ -265,6 +266,19 @@ def test_facesplit_n2_counts():
     assert m.n_edges == 108
     assert m.n_faces == 36
     assert m.n_vertices - m.n_edges + m.n_faces - m.n_cells == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("eps", [0.05, 0.25, 0.5])
+def test_facesplit_equals_reference_bitwise(n, eps):
+    base = pm.generate_cube_mesh(n, "uniform")
+    verts, faces = dense_oracle.cube_facesplit(base.vertices, base.faces, eps)
+    edges, face_edge_ids = dense_oracle.number_edges(faces)
+    m = pm.generate_cube_mesh(n, f"facesplit({eps})")
+    assert np.array_equal(m.vertices, verts)
+    assert m.faces == faces
+    assert np.array_equal(m.edges, edges)
+    assert m.face_edge_ids == face_edge_ids
 
 
 def test_nonplanar_face_rejected():

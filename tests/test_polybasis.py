@@ -11,6 +11,7 @@ from conftest import (
     integrate_monomial_over_polygon,
     random_star_polygon,
 )
+import dense_oracle
 from dense_oracle import edge_trace_matrix, normal_derivative_trace_matrix
 from polyvem import polybasis as pb
 
@@ -150,8 +151,9 @@ def test_gauss_legendre_unit_interval_exactness(n):
 
 @pytest.mark.parametrize("rule, arg", [
     (pb.gauss_legendre, 3),
-    (pb.triangle_rule, 4),
-    (pb.tetrahedron_rule, 2),
+    pytest.param(lambda d: pb.simplex_rule(2, d), 4, id="triangle_rule-4"),
+    pytest.param(lambda d: pb.simplex_rule(3, d), 2,
+                 id="tetrahedron_rule-2"),
     pytest.param(lambda n: (pb.gauss_lobatto(n),), 5, id="gauss_lobatto-5"),
     (pb.edge_gauss_lagrange, 3),
     pytest.param(lambda k: (pb._derivative_pattern(3, k),), 2,
@@ -185,7 +187,7 @@ def test_edge_interior_nodes_are_lobatto_interior(k):
 
 @pytest.mark.parametrize("deg", [0, 1, 2, 3, 5, 8])
 def test_triangle_rule_exactness(deg):
-    pts, w = pb.triangle_rule(deg)
+    pts, w = pb.simplex_rule(2, deg)
     assert np.isclose(np.sum(w), 0.5)
     for a in range(deg + 1):
         for b in range(deg + 1 - a):
@@ -196,7 +198,7 @@ def test_triangle_rule_exactness(deg):
 
 @pytest.mark.parametrize("deg", [0, 1, 2, 3, 5])
 def test_tetrahedron_rule_exactness(deg):
-    pts, w = pb.tetrahedron_rule(deg)
+    pts, w = pb.simplex_rule(3, deg)
     assert np.isclose(np.sum(w), 1.0 / 6.0)
     for a in range(deg + 1):
         for b in range(deg + 1 - a):
@@ -207,6 +209,33 @@ def test_tetrahedron_rule_exactness(deg):
                 )
                 got = np.sum(w * pts[:, 0] ** a * pts[:, 1] ** b * pts[:, 2] ** c)
                 assert math.isclose(got, exact, rel_tol=1e-12), (a, b, c)
+
+
+@pytest.mark.parametrize("dim, reference", [
+    (2, dense_oracle.triangle_rule), (3, dense_oracle.tetrahedron_rule)])
+def test_simplex_rule_equals_reference_bitwise(dim, reference):
+    for deg in range(17):
+        for got, want in zip(pb.simplex_rule(dim, deg), reference(deg)):
+            assert np.array_equal(got, want), deg
+
+
+def test_polygon_quadrature_equals_per_edge_reference_bitwise(rng):
+    cases = [(random_star_polygon(rng, small_edge=small), None)
+             for small in [None, 1e-3, 1e-6] for _ in range(4)]
+    # the center lies on the line of the edge (2,1)-(1,1): a zero-area
+    # fan triangle that both must skip
+    cases.append((np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]],
+                           float), np.array([0.5, 1.0])))
+    for pts, center in cases:
+        center = pts.mean(axis=0) if center is None else center
+        for deg in (0, 2, 5, 8):
+            got = pb.polygon_quadrature(pts, center, deg)
+            want = dense_oracle.polygon_quadrature(pts, center, deg)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+    n_tri = len(pb.simplex_rule(2, 8)[1])
+    assert len(got[1]) == (len(pts) - 1) * n_tri
+    assert math.isclose(got[1].sum(), 3.0, rel_tol=1e-14)
 
 
 def test_polygon_quadrature_matches_divergence_oracle(rng):
@@ -290,7 +319,7 @@ def test_mass_matrix_refinement_oracle(rng):
         qp, qw = pb.polygon_quadrature(pts, center, degree=6)
         H = pb.mass_matrix(basis, qp, qw)
 
-        tp, tw = pb.triangle_rule(12)
+        tp, tw = pb.simplex_rule(2, 12)
         Href = np.zeros_like(H)
         n = len(pts)
         levels = 4

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from polyvem import mesh as pm
+from polyvem import polybasis as pb
 from polyvem import system as ps
 
 
@@ -210,6 +211,25 @@ def test_injection_3d_smoke():
     sys_ = ps.assemble(m, k, boundary_values=g)
     x, _ = sys_.solve()
     assert np.max(np.abs(x - g)) <= 1e-11
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_interpolant_node_dofs_are_exact_point_values_3d(k):
+    # every cell takes its node values at its own node points, so a node
+    # shared by cells and faces gets func at the mesh node, bit for bit
+    m = pm.generate_cube_mesh(2, "facesplit(0.05)")
+
+    def u(p):
+        return p[:, 0] * p[:, 1] + p[:, 2] / (1.0 + p[:, 0]) - 0.3 * p[:, 2] ** 2
+
+    g = ps.interpolate_global(m, k, u)
+    v = m.vertices
+    lo, hi = v[m.edges[:, 0]], v[m.edges[:, 1]]
+    ts = pb.edge_interior_nodes(k)
+    nodes = lo[:, None] + ts[None, :, None] * (hi - lo)[:, None]
+    nv, n_nodes = m.n_vertices, m.n_edges * (k - 1)
+    assert np.array_equal(g[:nv], u(v))
+    assert np.array_equal(g[nv:nv + n_nodes], u(nodes.reshape(-1, 3)))
 
 
 def test_homogeneous_solve_positive_interior():
