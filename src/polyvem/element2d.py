@@ -15,7 +15,9 @@ from .mesh import polygon_geometry
 
 
 class DofLayout:
-    """Counts and index ranges of the local degrees of freedom."""
+    """Counts of the local degrees of freedom: n_boundary dofs on the
+    boundary (nodes, and in 3D the face moments), then n_moment scaled
+    cell moments."""
 
     def __init__(self, n_boundary, n_moment):
         self.n_boundary = n_boundary
@@ -32,16 +34,17 @@ def _refined_solve(lu, A, B):
 
 # The projector core below is shared by the 2D and 3D elements. An element
 # supplies basis, geometry, H, Gt, d_mat, layout.n_total and its volume
-# quadrature _qp, _qw; its last nm dofs are the scaled cell moments.
+# quadrature _qp, _qw; its last layout.n_moment dofs are the scaled cell
+# moments, and its first len(_node_points) dofs the node values.
 
-def _solve_projectors(el, B, bnd_mean_dof, bnd_mean_mono, nm):
+def _solve_projectors(el, B, bnd_mean_dof, bnd_mean_mono):
     """Set pi_nabla_star, pi_nabla and pi_zero of an element.
 
     B holds the boundary integrals of the monomials' normal derivatives
     against the dofs; the two boundary means fix the constants.
     """
     k = el.k
-    n_total = el.layout.n_total
+    n_total, nm = el.layout.n_total, el.layout.n_moment
     measure = el.geometry.measure
     # moments carry the exact volume term of the integration by parts
     lap = el.basis.laplacian_map()
@@ -88,7 +91,7 @@ def _local_stiffness(el, S):
     return 0.5 * (K + K.T)
 
 
-def _local_load(el, f, nm):
+def _local_load(el, f):
     """Integrals of f against the load polynomials of the dofs."""
     if el.k == 1:
         C, nj = el.pi_zero, el.basis.n
@@ -98,7 +101,7 @@ def _local_load(el, f, nm):
         C = np.linalg.solve(H1, el.H[:nj] @ el.pi_zero)
     else:
         # for k >= 3 the degree k-2 moments are stored dofs
-        nj = nm
+        nj = nm = el.layout.n_moment
         C = np.zeros((nm, el.layout.n_total))
         C[:, -nm:] = el.geometry.measure * np.linalg.inv(el.H[:nm, :nm])
     fvals = np.asarray(f(el._qp), dtype=float)
@@ -106,21 +109,21 @@ def _local_load(el, f, nm):
     return C.T @ mvec
 
 
-def _moments(el, func, nm):
-    """The scaled moments of func against the first nm monomials of an
-    element, on its volume quadrature."""
+def _moments(el, func):
+    """The scaled moments of func against the first layout.n_moment
+    monomials of an element, on its volume quadrature."""
     fvals = np.asarray(func(el._qp), dtype=float)
-    vals = el.basis.eval(el._qp)[:, :nm]
+    vals = el.basis.eval(el._qp)[:, :el.layout.n_moment]
     return (vals.T * el._qw) @ fvals / el.geometry.measure
 
 
-def _interpolate(el, func, nm):
+def _interpolate(el, func):
     """Interpolant dofs at the nodes and cell moments; others left unset."""
     dofs = np.empty(el.layout.n_total)
-    nb = el.layout.n_boundary
-    dofs[:nb] = np.asarray(func(el._node_points), dtype=float)
-    if nm:
-        dofs[-nm:] = _moments(el, func, nm)
+    dofs[:len(el._node_points)] = np.asarray(func(el._node_points),
+                                             dtype=float)
+    if el.layout.n_moment:
+        dofs[-el.layout.n_moment:] = _moments(el, func)
     return dofs
 
 
@@ -208,8 +211,7 @@ class Element2D:
             bnd_mean_mono += length * (tvals @ wg)
         bnd_mean_dof /= perimeter
         bnd_mean_mono /= perimeter
-        _solve_projectors(self, B, bnd_mean_dof, bnd_mean_mono,
-                          self.layout.n_moment)
+        _solve_projectors(self, B, bnd_mean_dof, bnd_mean_mono)
 
     # -- stabilization and stiffness ---------------------------------------
 
@@ -246,11 +248,11 @@ class Element2D:
 
     def local_load(self, f):
         """Right hand side integrals of f against the projected dofs."""
-        return _local_load(self, f, self.layout.n_moment)
+        return _local_load(self, f)
 
     def interpolate(self, func):
         """Dof vector of the interpolant of a function given pointwise."""
-        return _interpolate(self, func, self.layout.n_moment)
+        return _interpolate(self, func)
 
     def seminorm_tbar(self, v):
         """Computable seminorm combining the projected interior part with

@@ -10,7 +10,7 @@ face's own scaled monomials, and interior cell moments.
 import numpy as np
 
 from . import polybasis as pb
-from .element2d import (Element2D, _interpolate, _local_load,
+from .element2d import (DofLayout, Element2D, _interpolate, _local_load,
                         _local_stiffness, _moments, _solve_projectors)
 from .mesh import cell_geometry
 
@@ -38,59 +38,28 @@ def build_face_cache(mesh, k):
     return cache
 
 
-class CellDofLayout3:
-    """Dof bookkeeping of one polyhedral cell.
+class Element3D:
+    """Degree-k virtual element on a star-shaped polyhedron.
 
-    Order: cell vertices by global id, then per cell edge (by global edge
-    id) the k-1 interior nodes oriented from the lower to the higher
-    vertex id, then per face (in the cell's face order) the face moments,
-    then the cell moments.
+    Its local dofs are dofmap.cell_dofs(cell_id), in that order; a face's
+    dofs sit at face_dofs[lf] within them, in its face element's order.
     """
 
-    def __init__(self, mesh, cell_id, k):
-        self.k = k
-        self.vertex_ids = mesh.cell_vertex_ids(cell_id)
-        self.edge_ids = mesh.cell_edge_ids[cell_id]
-        self.face_ids = [fid for fid, _ in mesh.cells[cell_id]]
-        nmf = pb.n_poly(2, k - 2)
-        self.n_boundary = len(self.vertex_ids) + len(self.edge_ids) * (k - 1)
-        self.n_face_moments = len(self.face_ids) * nmf
-        self.n_cell_moments = pb.n_poly(3, k - 2)
-        self.n_total = (self.n_boundary + self.n_face_moments
-                        + self.n_cell_moments)
-
-        self._vertex_pos = {v: i for i, v in enumerate(self.vertex_ids)}
-        self._edge_pos = {e: i for i, e in enumerate(self.edge_ids)}
-        self._faces = []
-        for lf, fid in enumerate(self.face_ids):
-            loop = mesh.faces[fid]
-            idx = [self._vertex_pos[v] for v in loop]
-            nv = len(self.vertex_ids)
-            for a, b, eid in zip(loop, loop[1:] + loop[:1],
-                                 mesh.face_edge_ids[fid]):
-                base = nv + self._edge_pos[eid] * (k - 1)
-                nodes = range(base, base + k - 1)
-                idx.extend(nodes if a < b else reversed(nodes))
-            start = self.n_boundary + lf * nmf
-            idx.extend(range(start, start + nmf))
-            self._faces.append(np.array(idx, dtype=int))
-
-    def face_dof_indices(self, local_face):
-        """Cell dof indices forming the face element's dof vector."""
-        return self._faces[local_face]
-
-
-class Element3D:
-    """Degree-k virtual element on a star-shaped polyhedron."""
-
-    def __init__(self, mesh, cell_id, k, cache):
+    def __init__(self, dofmap, cell_id, cache):
+        mesh, k = dofmap.mesh, dofmap.k
         if k < 1:
             raise ValueError("polynomial degree must be at least 1")
         self.k = k
         self.mesh = mesh
         self.cell_id = cell_id
-        self.layout = CellDofLayout3(mesh, cell_id, k)
-        self._faces = [cache[fid] for fid in self.layout.face_ids]
+        dofs = dofmap.cell_dofs(cell_id)
+        n_moment = pb.n_poly(3, k - 2)
+        self.layout = DofLayout(len(dofs) - n_moment, n_moment)
+        order = np.argsort(dofs)
+        self.face_dofs = [
+            order[np.searchsorted(dofs, dofmap.face_dofs(fid), sorter=order)]
+            for fid, _ in mesh.cells[cell_id]]
+        self._faces = [cache[fid] for fid, _ in mesh.cells[cell_id]]
         self._signs = [sign for _, sign in mesh.cells[cell_id]]
         self.geometry = cell_geometry(mesh, cell_id)
         self.basis = pb.ScaledMonomialBasis(
@@ -105,11 +74,13 @@ class Element3D:
     # -- geometry ------------------------------------------------------------
 
     def _build_nodes(self):
+        # the dof map lists a cell's nodes by global id: its vertices,
+        # then the nodes of each edge
         verts = self.mesh.vertices
-        pts = [verts[self.layout.vertex_ids]]
+        pts = [verts[self.mesh.cell_vertex_ids(self.cell_id)]]
         if self.k > 1:
             ts = pb.edge_interior_nodes(self.k)
-            for eid in self.layout.edge_ids:
+            for eid in self.mesh.cell_edge_ids[self.cell_id]:
                 lo, hi = self.mesh.edges[eid]
                 pts.append(verts[lo] + ts[:, None] * (verts[hi] - verts[lo]))
         self._node_points = np.concatenate(pts)
@@ -153,17 +124,16 @@ class Element3D:
             rows.append(T[:, :nmf].T / area)
             normal = self._signs[lf] * face.frame.normal
             ND = sum(normal[d] * maps[d] for d in range(3))
-            idx = lay.face_dof_indices(lf)
+            idx = self.face_dofs[lf]
             B[:, idx] += (ND @ T) @ fel.pi_zero
             bnd_mean_dof[idx] += fel.H[0] @ fel.pi_zero
             bnd_mean_mono += T[:, 0]
             total_area += area
-        rows.append(self.H[:lay.n_cell_moments, :] / self.geometry.measure)
+        rows.append(self.H[:lay.n_moment, :] / self.geometry.measure)
         self.d_mat = np.vstack(rows)
         bnd_mean_dof /= total_area
         bnd_mean_mono /= total_area
-        _solve_projectors(self, B, bnd_mean_dof, bnd_mean_mono,
-                          lay.n_cell_moments)
+        _solve_projectors(self, B, bnd_mean_dof, bnd_mean_mono)
 
     # -- stabilization and stiffness -------------------------------------------
 
@@ -179,7 +149,7 @@ class Element3D:
         S = np.zeros((lay.n_total, lay.n_total))
         nmf = pb.n_poly(2, self.k - 2)
         for lf, face in enumerate(self._faces):
-            idx = lay.face_dof_indices(lf)
+            idx = self.face_dofs[lf]
             nbf = face.element.layout.n_boundary
             nodes = idx[:nbf]
             S[nodes, nodes] += 1.0
@@ -200,17 +170,15 @@ class Element3D:
 
     def local_load(self, f):
         """Right hand side integrals of f against the projected dofs."""
-        return _local_load(self, f, self.layout.n_cell_moments)
+        return _local_load(self, f)
 
     def interpolate(self, func):
         """Dof vector of the interpolant of a function given pointwise."""
-        lay = self.layout
-        dofs = _interpolate(self, func, lay.n_cell_moments)
+        dofs = _interpolate(self, func)
         # node values stay those taken at the cell's own node points
-        nmf = pb.n_poly(2, self.k - 2)
-        for lf, face in enumerate(self._faces if nmf else ()):
-            frame = face.frame
-            start = lay.n_boundary + lf * nmf
-            dofs[start:start + nmf] = _moments(
-                face.element, lambda q2: func(frame.to3d(q2)), nmf)
+        for idx, face in zip(self.face_dofs, self._faces):
+            fel, frame = face.element, face.frame
+            if fel.layout.n_moment:
+                dofs[idx[fel.layout.n_boundary:]] = _moments(
+                    fel, lambda q2: func(frame.to3d(q2)))
         return dofs

@@ -354,29 +354,24 @@ def _kernel_halfspaces(mesh, i):
     return normals, anchors, _diameter(pts)
 
 
-def cell_star_center(mesh, i):
-    """An interior point of cell i seeing all of its boundary.
-
-    The vertex average is used when it works; otherwise the Chebyshev
-    center of the cell's kernel. Raises KernelEmpty when no such point
-    exists.
-    """
-    if mesh.dim == 2:
-        return polygon_geometry(mesh.cell_points(i)).star_center
-    candidate = mesh.cell_points(i).mean(axis=0)
-    return _star_point(candidate, *_kernel_halfspaces(mesh, i), f"cell {i}")
-
-
 def cell_geometry(mesh, i):
-    """CellGeometry of one cell, in either dimension."""
+    """CellGeometry of one cell, in either dimension.
+
+    A polyhedron's star point is its vertex average when that sees every
+    face from inside, otherwise the Chebyshev center of its kernel; its
+    volume and centroid come from the star fan on that point. Raises
+    KernelEmpty when the kernel has no interior point.
+    """
+    pts = mesh.cell_points(i)
     if mesh.dim == 2:
-        return polygon_geometry(mesh.cell_points(i))
-    star = cell_star_center(mesh, i)
+        return polygon_geometry(pts)
+    star = _star_point(pts.mean(axis=0), *_kernel_halfspaces(mesh, i),
+                       f"cell {i}")
     tets, signs = mesh._fan_tetrahedra(i, star)
     vols = signs * np.linalg.det(tets[:, 1:] - star) / 6.0
     vol = vols.sum()
     centroid = vols @ tets.mean(axis=1) / vol
-    return CellGeometry(_diameter(mesh.cell_points(i)), vol, centroid, star)
+    return CellGeometry(_diameter(pts), vol, centroid, star)
 
 
 # ---------------------------------------------------------------------------

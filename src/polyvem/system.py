@@ -1,10 +1,11 @@
 """Global dof numbering, assembly, and linear solvers.
 
 Global dofs are ordered as all vertices, then the interior edge nodes
-(edge by edge, oriented from the lower to the higher vertex id), then in
-3D the face moments, then the cell moments. Homogeneous or interpolated
-Dirichlet data is imposed by elimination: the assembled operator acts on
-the free dofs and boundary values only shift the right hand side.
+(edge by edge, oriented from the lower to the higher vertex id), then the
+moments of each polygon (the cells in 2D, the faces in 3D), then in 3D the
+cell moments. Homogeneous or interpolated Dirichlet data is imposed by
+elimination: the assembled operator acts on the free dofs and boundary
+values only shift the right hand side.
 """
 
 import inspect
@@ -35,81 +36,91 @@ class SolveInfo:
 
 
 class GlobalDofMap:
-    """Assigns global indices to the dofs of every cell."""
+    """Assigns global indices to the dofs of every cell, and owns their
+    local order.
+
+    The polygons of a mesh are its cells in 2D and its faces in 3D. One
+    walk numbers every polygon: its loop vertices, the k-1 nodes of each
+    segment (oriented from the lower to the higher vertex id), then its
+    moments. A 3D cell takes its faces' nodes in global order, then its
+    face moments in the cell's face order, then its own moments.
+    """
 
     def __init__(self, mesh, k):
         self.mesh = mesh
         self.k = k
         nv, ne = mesh.n_vertices, mesh.n_edges
-        self._edge_offset = nv
-        self._face_offset = nv + ne * (k - 1)
+        # in 2D a cell's moments are those of its polygon
         if mesh.dim == 2:
-            self._n_face_moments = 0
-            self._cell_moment_size = pb.n_poly(2, k - 2)
+            loops, loop_edges = mesh.cells, mesh.cell_edge_ids
+            boundary_loops, ncm = np.zeros(len(loops), dtype=bool), 0
         else:
-            self._n_face_moments = pb.n_poly(2, k - 2)
-            self._cell_moment_size = pb.n_poly(3, k - 2)
-        self._cell_offset = (self._face_offset
-                             + getattr(mesh, "n_faces", 0) * self._n_face_moments)
-        self.n_total = (self._cell_offset
-                        + mesh.n_cells * self._cell_moment_size)
+            loops, loop_edges = mesh.faces, mesh.face_edge_ids
+            boundary_loops, ncm = mesh.boundary_faces, pb.n_poly(3, k - 2)
+        npm = pb.n_poly(2, k - 2)
+        moment_offset = nv + ne * (k - 1)
+        cell_offset = moment_offset + len(loops) * npm
+        self.n_total = cell_offset + mesh.n_cells * ncm
+        self._polygon_dofs = [
+            self._walk(loop, eids, moment_offset + j * npm, npm)
+            for j, (loop, eids) in enumerate(zip(loops, loop_edges))]
+        if mesh.dim == 2:
+            self._cell_dofs = self._polygon_dofs
+        else:
+            self._cell_dofs = [
+                self._cell_dofs_3d(i, moment_offset, cell_offset + i * ncm,
+                                   ncm)
+                for i in range(mesh.n_cells)]
 
-        self.boundary = np.zeros(self.n_total, dtype=bool)
-        self.boundary[:nv] = mesh.boundary_vertices
-        if k > 1:
-            nodes = np.repeat(mesh.boundary_edges, k - 1)
-            self.boundary[self._edge_offset:self._edge_offset + len(nodes)] = nodes
-        if self._n_face_moments:
-            mom = np.repeat(mesh.boundary_faces, self._n_face_moments)
-            self.boundary[self._face_offset:self._face_offset + len(mom)] = mom
+        self.boundary = np.concatenate(
+            [mesh.boundary_vertices, np.repeat(mesh.boundary_edges, k - 1),
+             np.repeat(boundary_loops, npm),
+             np.zeros(mesh.n_cells * ncm, dtype=bool)])
         self.free = np.flatnonzero(~self.boundary)
         self.fixed = np.flatnonzero(self.boundary)
-
-        self._cell_dofs = [self._build_cell_dofs(i)
-                           for i in range(mesh.n_cells)]
 
     def edge_dofs(self, eid):
         """Global dofs of an edge trace: both vertices and the interior
         nodes, ordered from the lower vertex id to the higher."""
         lo, hi = self.mesh.edges[eid]
-        base = self._edge_offset + eid * (self.k - 1)
+        base = self.mesh.n_vertices + eid * (self.k - 1)
         return np.concatenate([[lo], np.arange(base, base + self.k - 1),
                                [hi]]).astype(int)
+
+    def face_dofs(self, fid):
+        """Global dofs of 3D face fid in its face element's local order."""
+        return self._polygon_dofs[fid]
 
     def cell_dofs(self, i):
         """Global dofs of cell i in the element's local order."""
         return self._cell_dofs[i]
 
-    def _build_cell_dofs(self, i):
-        mesh, k = self.mesh, self.k
-        if mesh.dim == 2:
-            loop = mesh.cells[i]
-            idx = list(loop)
-            for (a, b), eid in zip(zip(loop, loop[1:] + loop[:1]),
-                                   mesh.cell_edge_ids[i]):
-                base = self._edge_offset + eid * (k - 1)
-                nodes = range(base, base + k - 1)
-                idx.extend(nodes if a < b else reversed(nodes))
-        else:
-            idx = list(mesh.cell_vertex_ids(i))
-            for eid in mesh.cell_edge_ids[i]:
-                base = self._edge_offset + eid * (k - 1)
-                idx.extend(range(base, base + k - 1))
-            for fid, _ in mesh.cells[i]:
-                base = self._face_offset + fid * self._n_face_moments
-                idx.extend(range(base, base + self._n_face_moments))
-        base = self._cell_offset + i * self._cell_moment_size
-        idx.extend(range(base, base + self._cell_moment_size))
+    def _walk(self, loop, edge_ids, start, n_moments):
+        k, nv = self.k, self.mesh.n_vertices
+        idx = list(loop)
+        for a, b, eid in zip(loop, loop[1:] + loop[:1], edge_ids):
+            base = nv + eid * (k - 1)
+            nodes = range(base, base + k - 1)
+            idx.extend(nodes if a < b else reversed(nodes))
+        idx.extend(range(start, start + n_moments))
         return np.array(idx, dtype=int)
 
+    def _cell_dofs_3d(self, i, moment_offset, start, n_moments):
+        dofs = np.concatenate([self._polygon_dofs[fid]
+                               for fid, _ in self.mesh.cells[i]])
+        node = dofs < moment_offset
+        return np.concatenate([np.unique(dofs[node]), dofs[~node],
+                               np.arange(start, start + n_moments)])
 
-def build_elements(mesh, k):
+
+def build_elements(dofmap):
     """The local element of every cell, sharing one face cache in 3D."""
+    mesh = dofmap.mesh
     if mesh.dim == 2:
-        return [Element2D(mesh.cell_points(i), k)
+        return [Element2D(mesh.cell_points(i), dofmap.k)
                 for i in range(mesh.n_cells)]
-    cache = build_face_cache(mesh, k)
-    return [Element3D(mesh, i, k, cache) for i in range(mesh.n_cells)]
+    cache = build_face_cache(mesh, dofmap.k)
+    return [Element3D(dofmap, i, cache) for i in range(mesh.n_cells)]
 
 
 class GlobalSystem:
@@ -136,22 +147,21 @@ class GlobalSystem:
         lift = self.A_full[self.dofmap.free][:, fixed] @ values[fixed]
         self.b = self._b_free - lift
 
-    def solve(self, method="auto", tol=1e-12, maxiter=None):
+    def solve(self):
         """Solve for the free dofs; returns the full dof vector."""
-        x_free, info = solve_linear(self.A, self.b, method=method,
-                                    tol=tol, maxiter=maxiter)
+        x_free, info = solve_linear(self.A, self.b)
         x = self.x_fixed.copy()
         x[self.dofmap.free] = x_free
         return x, info
 
 
-def assemble(mesh, k, stabilization=None, f=None, boundary_values=None):
+def assemble(mesh, k, stabilization=None, f=None):
     """Assemble the global system on a mesh.
 
     The stabilization defaults to "s2" on polygonal meshes and to the
     face-wise form on polyhedral ones. When f is given the projected load
-    is assembled as well; boundary_values (a full dof vector) imposes
-    inhomogeneous Dirichlet data by elimination.
+    is assembled as well. The boundary values are zero until
+    GlobalSystem.apply_boundary_values imposes others.
     """
     if stabilization is None:
         stabilization = "s2" if mesh.dim == 2 else "3d"
@@ -159,7 +169,7 @@ def assemble(mesh, k, stabilization=None, f=None, boundary_values=None):
         raise ValueError("polyhedral meshes support only the "
                          "face-wise stabilization")
     dofmap = GlobalDofMap(mesh, k)
-    elements = build_elements(mesh, k)
+    elements = build_elements(dofmap)
 
     rows, cols, vals = [], [], []
     b_full = np.zeros(dofmap.n_total)
@@ -177,10 +187,7 @@ def assemble(mesh, k, stabilization=None, f=None, boundary_values=None):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(dofmap.n_total, dofmap.n_total)).tocsr()
 
-    system = GlobalSystem(mesh, k, dofmap, elements, A_full, b_full)
-    if boundary_values is not None:
-        system.apply_boundary_values(boundary_values)
-    return system
+    return GlobalSystem(mesh, k, dofmap, elements, A_full, b_full)
 
 
 _CG_TOL_KEY = ("rtol" if "rtol"
@@ -237,7 +244,7 @@ def interpolate_global(mesh, k, func, elements=None, dofmap=None):
     if dofmap is None:
         dofmap = GlobalDofMap(mesh, k)
     if elements is None:
-        elements = build_elements(mesh, k)
+        elements = build_elements(dofmap)
     x = np.zeros(dofmap.n_total)
     for i, el in enumerate(elements):
         x[dofmap.cell_dofs(i)] = el.interpolate(func)

@@ -13,14 +13,16 @@ These read only the basis' center, scale, indices and derivative maps.
 Finally it keeps reference forms of the quadrature and mesh code that the
 package shares between dimensions: a triangle and a tetrahedron rule written
 out coordinate by coordinate, the polygon fan built one edge at a time, and
-the cube face split with its own segment numbering. The package's
-simplex_rule, polygon_quadrature and facesplit meshes must equal them bit
-for bit.
+the cube face split with its own segment numbering, and the dof order of a
+cell written separately for polygons and polyhedra. The package's
+simplex_rule, polygon_quadrature, facesplit meshes, GlobalDofMap and
+Element3D face dofs must equal them bit for bit.
 
 Run as a script to (re)generate tests/fixtures/klocal_unit_square_k1_*.json.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +238,74 @@ def cube_facesplit(verts, faces, eps):
             split_loop.extend([a, split[key]])
         out_faces.append(split_loop)
     return np.array(verts), out_faces
+
+
+# ---------------------------------------------------------------------------
+# the dof order of a cell, written per dimension
+
+
+def _n_poly(dim, degree):
+    return math.comb(degree + dim, dim) if degree >= 0 else 0
+
+
+def cell_dofs(mesh, k, i):
+    """Global dofs of cell i: in 2D the loop vertices, the nodes of each
+    loop segment from its lower to its higher vertex id and the cell
+    moments; in 3D the cell's vertices, the nodes of its edges (both by
+    global id), the moments of its faces in the cell's face order and
+    the cell moments."""
+    nv, ne = mesh.n_vertices, mesh.n_edges
+    edge_offset = nv
+    if mesh.dim == 2:
+        nmf, ncm, nf = 0, _n_poly(2, k - 2), 0
+    else:
+        nmf, ncm, nf = _n_poly(2, k - 2), _n_poly(3, k - 2), mesh.n_faces
+    face_offset = nv + ne * (k - 1)
+    cell_offset = face_offset + nf * nmf
+    if mesh.dim == 2:
+        loop = mesh.cells[i]
+        idx = list(loop)
+        for (a, b), eid in zip(zip(loop, loop[1:] + loop[:1]),
+                               mesh.cell_edge_ids[i]):
+            base = edge_offset + eid * (k - 1)
+            nodes = range(base, base + k - 1)
+            idx.extend(nodes if a < b else reversed(nodes))
+    else:
+        idx = list(mesh.cell_vertex_ids(i))
+        for eid in mesh.cell_edge_ids[i]:
+            base = edge_offset + eid * (k - 1)
+            idx.extend(range(base, base + k - 1))
+        for fid, _ in mesh.cells[i]:
+            base = face_offset + fid * nmf
+            idx.extend(range(base, base + nmf))
+    base = cell_offset + i * ncm
+    idx.extend(range(base, base + ncm))
+    return np.array(idx, dtype=int)
+
+
+def cell_face_dofs(mesh, k, cell_id):
+    """Per face of a polyhedral cell (in the cell's face order), the
+    positions in cell_dofs of the face element's dofs: loop vertices,
+    the nodes of each loop segment in loop direction, face moments."""
+    vertex_ids = mesh.cell_vertex_ids(cell_id)
+    edge_ids = mesh.cell_edge_ids[cell_id]
+    nmf = _n_poly(2, k - 2)
+    n_nodes = len(vertex_ids) + len(edge_ids) * (k - 1)
+    vertex_pos = {v: i for i, v in enumerate(vertex_ids)}
+    edge_pos = {e: i for i, e in enumerate(edge_ids)}
+    faces = []
+    for lf, (fid, _) in enumerate(mesh.cells[cell_id]):
+        loop = mesh.faces[fid]
+        idx = [vertex_pos[v] for v in loop]
+        for a, b, eid in zip(loop, loop[1:] + loop[:1],
+                             mesh.face_edge_ids[fid]):
+            base = len(vertex_ids) + edge_pos[eid] * (k - 1)
+            nodes = range(base, base + k - 1)
+            idx.extend(nodes if a < b else reversed(nodes))
+        start = n_nodes + lf * nmf
+        idx.extend(range(start, start + nmf))
+        faces.append(np.array(idx, dtype=int))
+    return faces
 
 
 def main():

@@ -87,8 +87,11 @@ def test_acceptance_1_patch_test_2d():
         case = st.get_case("patch", 2, k=k)
         for family in families:
             mesh = pm.generate_square_mesh(4, family)
-            g = ps.interpolate_global(mesh, k, case.u)
-            sys_ = ps.assemble(mesh, k, "s2", f=case.f, boundary_values=g)
+            sys_ = ps.assemble(mesh, k, "s2", f=case.f)
+            g = ps.interpolate_global(mesh, k, case.u,
+                                      elements=sys_.elements,
+                                      dofmap=sys_.dofmap)
+            sys_.apply_boundary_values(g)
             x, info = sys_.solve()
             PATCH_SOLVE_INFOS.append(info)
             errs = st.compute_errors(mesh, k, sys_, x, case)

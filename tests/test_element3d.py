@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 from conftest import integrate_monomial_over_box
 from polyvem import mesh as pm
 from polyvem.element3d import Element3D, build_face_cache
+from polyvem.system import GlobalDofMap, build_elements
 
 
 def cube_mesh(family="uniform"):
@@ -17,7 +19,7 @@ def cube_mesh(family="uniform"):
 def make_element(mesh, cell_id, k, cache=None):
     if cache is None:
         cache = build_face_cache(mesh, k)
-    return Element3D(mesh, cell_id, k, cache)
+    return Element3D(GlobalDofMap(mesh, k), cell_id, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -65,14 +67,53 @@ def test_dof_counts_cube():
     el2 = make_element(mesh, 0, 2)
     # 8 vertices + 12 edge nodes + 6 face moments + 1 cell moment
     assert el2.layout.n_total == 27
-    assert el2.layout.n_face_moments == 6
-    assert el2.layout.n_cell_moments == 1
+    assert el2.layout.n_boundary == 8 + 12 + 6
+    assert el2.layout.n_moment == 1
 
 
 def test_dof_counts_facesplit():
     mesh = cube_mesh("facesplit(0.25)")
     el = make_element(mesh, 0, 2)
     assert el.layout.n_total == 20 + 24 + 6 + 1
+
+
+def permuted_face_records(mesh, seed):
+    """The mesh with each cell's [face, sign] records shuffled."""
+    rng = np.random.default_rng(seed)
+    cells = [[cell[j] for j in rng.permutation(len(cell))]
+             for cell in mesh.cells]
+    assert cells != mesh.cells
+    return pm.PolyhedralMesh3(mesh.vertices, mesh.faces, cells).validate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("family",
+                         ["uniform", "facesplit(0.05)", "facesplit(0.5)"])
+def test_dof_order_equals_reference_bitwise(family, n):
+    stored = pm.generate_cube_mesh(n, family)
+    for mesh in (stored, permuted_face_records(stored, n)):
+        for k in (1, 2, 3, 4):
+            dofmap = GlobalDofMap(mesh, k)
+            cache = build_face_cache(mesh, k)
+            for i in range(mesh.n_cells):
+                want = dense_oracle.cell_dofs(mesh, k, i)
+                assert np.array_equal(dofmap.cell_dofs(i), want)
+                el = Element3D(dofmap, i, cache)
+                want = dense_oracle.cell_face_dofs(mesh, k, i)
+                assert len(el.face_dofs) == len(want)
+                for got, ref in zip(el.face_dofs, want):
+                    assert np.array_equal(got, ref), (k, i)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_face_dofs_pick_the_face_from_the_cell(k):
+    mesh = pm.generate_cube_mesh(2, "facesplit(0.05)")
+    dofmap = GlobalDofMap(mesh, k)
+    for el in build_elements(dofmap):
+        cell = dofmap.cell_dofs(el.cell_id)
+        for lf, (fid, _) in enumerate(mesh.cells[el.cell_id]):
+            assert np.array_equal(cell[el.face_dofs[lf]],
+                                  dofmap.face_dofs(fid))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +220,7 @@ def test_face_projection_of_cell_monomials():
     rng = np.random.default_rng(5)
     for local, (fid, _sign) in enumerate(mesh.cells[0]):
         face = cache[fid]
-        idx = el.layout.face_dof_indices(local)
+        idx = el.face_dofs[local]
         ts = rng.uniform(-0.3, 0.3, size=(6, 2))
         pts3 = face.frame.to3d(ts)
         vals3 = el.basis.eval(pts3)
@@ -215,7 +256,7 @@ def test_stab_zero_on_cell_moments():
     mesh = cube_mesh("uniform")
     el = make_element(mesh, 0, 2)
     S = el.stabilization_matrix()
-    i0 = el.layout.n_total - el.layout.n_cell_moments
+    i0 = el.layout.n_total - el.layout.n_moment
     assert np.count_nonzero(S[i0:, :]) == 0
     assert np.count_nonzero(S[:, i0:]) == 0
     assert np.allclose(S, S.T)
@@ -300,7 +341,7 @@ def test_interpolation_commutes_with_face_restriction():
     dofs3 = el.interpolate(zeta)
     for local, (fid, _sign) in enumerate(mesh.cells[0]):
         face = cache[fid]
-        idx = el.layout.face_dof_indices(local)
+        idx = el.face_dofs[local]
 
         def trace(q2, face=face):
             return zeta(face.frame.to3d(q2))

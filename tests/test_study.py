@@ -145,8 +145,10 @@ def test_energy_error_identity():
 def test_patch_solution_errors_tiny():
     mesh = pm.generate_square_mesh(2, "uniform")
     case = st.get_case("patch", 2, k=2)
-    g = ps.interpolate_global(mesh, 2, case.u)
-    sys_ = ps.assemble(mesh, 2, "s2", f=case.f, boundary_values=g)
+    sys_ = ps.assemble(mesh, 2, "s2", f=case.f)
+    g = ps.interpolate_global(mesh, 2, case.u, elements=sys_.elements,
+                              dofmap=sys_.dofmap)
+    sys_.apply_boundary_values(g)
     x, _ = sys_.solve()
     errs = st.compute_errors(mesh, 2, sys_, x, case)
     for v in errs.values():

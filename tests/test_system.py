@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import dense_oracle
 from polyvem import mesh as pm
 from polyvem import polybasis as pb
 from polyvem import system as ps
@@ -48,6 +49,18 @@ def test_dofmap_shares_edge_dofs_between_cells():
     assert len(shared) == 3
     for i in range(m.n_cells):
         assert len(dm.cell_dofs(i)) == len(m.cells[i]) * 2 + 1
+
+
+@pytest.mark.parametrize("family",
+                         ["uniform", "smalledge(0.1)", "distorted(3)",
+                          "hanging"])
+def test_dofmap_2d_equals_reference_bitwise(family):
+    m = pm.generate_square_mesh(4, family)
+    for k in (1, 2, 3, 4):
+        dm = ps.GlobalDofMap(m, k)
+        for i in range(m.n_cells):
+            assert np.array_equal(dm.cell_dofs(i),
+                                  dense_oracle.cell_dofs(m, k, i))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +206,10 @@ def test_injection_reproduces_linear_function():
     def u(p):
         return p[:, 0]
 
-    g = ps.interpolate_global(m, k, u)
-    sys_ = ps.assemble(m, k, "s2", boundary_values=g)
+    sys_ = ps.assemble(m, k, "s2")
+    g = ps.interpolate_global(m, k, u, elements=sys_.elements,
+                              dofmap=sys_.dofmap)
+    sys_.apply_boundary_values(g)
     x, info = sys_.solve()
     assert math.isclose(x[sys_.dofmap.free[0]], 0.5, abs_tol=1e-12)
     assert np.max(np.abs(x - g)) <= 1e-12
@@ -207,8 +222,10 @@ def test_injection_3d_smoke():
     def u(p):
         return 2.0 * p[:, 0] - p[:, 2]
 
-    g = ps.interpolate_global(m, k, u)
-    sys_ = ps.assemble(m, k, boundary_values=g)
+    sys_ = ps.assemble(m, k)
+    g = ps.interpolate_global(m, k, u, elements=sys_.elements,
+                              dofmap=sys_.dofmap)
+    sys_.apply_boundary_values(g)
     x, _ = sys_.solve()
     assert np.max(np.abs(x - g)) <= 1e-11
 
