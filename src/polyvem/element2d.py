@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from . import polybasis as pb
-from .mesh import polygon_geometry
+from .mesh import MeshError, polygon_geometry
 
 
 class DofLayout:
@@ -151,26 +151,24 @@ class Element2D:
     # -- geometry of the boundary ------------------------------------------
 
     def _build_edges(self):
-        k = self.k
-        nv = len(self.points)
-        self._edge_ts = pb.gauss_lobatto(k + 1)
-        node_pts = [self.points]
-        self._edge_dofs = []
-        self._edge_lengths = np.empty(nv)
-        self._edge_normals = np.empty((nv, 2))
-        for e in range(nv):
-            p0, p1 = self.points[e], self.points[(e + 1) % nv]
-            tang = p1 - p0
-            length = np.linalg.norm(tang)
-            self._edge_lengths[e] = length
-            self._edge_normals[e] = np.array([tang[1], -tang[0]]) / length
-            dofs = [e] + [nv + e * (k - 1) + j for j in range(k - 1)] \
-                + [(e + 1) % nv]
-            self._edge_dofs.append(np.array(dofs))
-            if k > 1:
-                interior = self._edge_ts[1:-1]
-                node_pts.append(p0 + interior[:, None] * tang)
-        self._node_points = np.concatenate(node_pts)
+        """The edge table: per segment p -> q of the loop its tangent
+        q - p, length, outward unit normal and local dofs (p, the k-1
+        nodes from p to q, q)."""
+        k, pts = self.k, self.points
+        tang = np.roll(pts, -1, axis=0) - pts
+        # a row-by-row dot, which np.linalg.norm(axis=1) does not round like
+        lengths = np.sqrt((tang[:, None, :] @ tang[:, :, None]).ravel())
+        if not np.all(lengths > 0.0):
+            raise MeshError("polygon has a zero-length edge")
+        self._tangents, self._edge_lengths = tang, lengths
+        self._edge_normals = np.column_stack(
+            [tang[:, 1], -tang[:, 0]]) / lengths[:, None]
+        ids = np.arange(len(pts))
+        self._edge_dofs = np.column_stack(
+            [ids, len(pts) + (k - 1) * ids[:, None] + np.arange(k - 1),
+             np.roll(ids, -1)])
+        self._node_points = np.concatenate(
+            [pts, pb._segment_points(pts, tang, pb.edge_interior_nodes(k))])
 
     def volume_quadrature(self, degree):
         """A quadrature rule over the polygon, exact to the degree."""
@@ -186,31 +184,27 @@ class Element2D:
                                 self.H[:nm, :] / area])
 
     def _build_projectors(self):
-        k = self.k
-        n = self.basis.n
-
+        k, n, nv = self.k, self.basis.n, len(self.points)
+        lengths, dofs = self._edge_lengths, self._edge_dofs
         tg, wg = pb.gauss_legendre(k + 2)
         lag, _ = pb.edge_gauss_lagrange(k)
+        # traces of the monomials and of their normal derivatives, taken
+        # directly at the Gauss points of every edge, as (nv, ng, n)
+        pts = pb._segment_points(self.points, self._tangents, tg)
+        grads = self.basis.grad(pts).reshape(nv, len(tg), n, 2)
+        normal_der = (grads @ self._edge_normals[:, None, :, None])[..., 0]
+        traces = self.basis.eval(pts).reshape(nv, len(tg), n)
 
         B = np.zeros((n, self.layout.n_total))
+        per_edge = ((lengths[:, None, None] * normal_der.transpose(0, 2, 1))
+                    @ (wg[:, None] * lag))
+        np.add.at(B.T, dofs, per_edge.transpose(0, 2, 1))
         bnd_mean_dof = np.zeros(self.layout.n_total)
-        bnd_mean_mono = np.zeros(n)
-        perimeter = self._edge_lengths.sum()
-        for e in range(len(self.points)):
-            p0 = self.points[e]
-            p1 = self.points[(e + 1) % len(self.points)]
-            length = self._edge_lengths[e]
-            dofs = self._edge_dofs[e]
-            # traces of the monomials and of their normal derivatives,
-            # taken directly at the edge Gauss points
-            pts = p0 + tg[:, None] * (p1 - p0)
-            qvals = (self.basis.grad(pts) @ self._edge_normals[e]).T
-            B[:, dofs] += length * qvals @ (wg[:, None] * lag)
-            bnd_mean_dof[dofs] += length * (wg @ lag)
-            tvals = self.basis.eval(pts).T
-            bnd_mean_mono += length * (tvals @ wg)
-        bnd_mean_dof /= perimeter
-        bnd_mean_mono /= perimeter
+        np.add.at(bnd_mean_dof, dofs, lengths[:, None] * (wg @ lag))
+        bnd_mean_mono = (lengths[:, None]
+                         * (traces.transpose(0, 2, 1) @ wg)).sum(axis=0)
+        bnd_mean_dof /= lengths.sum()
+        bnd_mean_mono /= lengths.sum()
         _solve_projectors(self, B, bnd_mean_dof, bnd_mean_mono)
 
     # -- stabilization and stiffness ---------------------------------------
@@ -233,11 +227,11 @@ class Element2D:
         _, wg = pb.gauss_legendre(self.k + 2)
         _, dlag = pb.edge_gauss_lagrange(self.k)
         local = (dlag.T * wg) @ dlag
-        for e in range(len(self.points)):
-            dofs = self._edge_dofs[e]
-            weight = (self.geometry.h / self._edge_lengths[e]
-                      if kind == "s2" else 1.0)
-            S[np.ix_(dofs, dofs)] += weight * local
+        weight = (self.geometry.h / self._edge_lengths if kind == "s2"
+                  else np.ones(len(self.points)))
+        dofs = self._edge_dofs
+        np.add.at(S, (dofs[:, :, None], dofs[:, None, :]),
+                  weight[:, None, None] * local)
         return S
 
     def local_stiffness(self, kind):
@@ -268,10 +262,10 @@ class Element2D:
         lag, _ = pb.edge_gauss_lagrange(k)
         gram = 1.0 / (np.arange(k)[:, None] + np.arange(k)[None, :] + 1.0)
         powers = tg[:, None] ** np.arange(k)
-        edge_total = 0.0
-        for e in range(len(self.points)):
-            trace = lag @ v[self._edge_dofs[e]]
-            r = powers.T @ (wg * trace)
-            edge_total += self._edge_lengths[e] * (r @ np.linalg.solve(gram, r))
+        traces = (lag @ v[self._edge_dofs][:, :, None])[..., 0]
+        r = powers.T @ (wg * traces)[:, :, None]
+        edge_total = (self._edge_lengths
+                      * (r.transpose(0, 2, 1) @ np.linalg.solve(gram, r))
+                      .ravel()).sum()
         total += self.geometry.h * edge_total
         return float(np.sqrt(total))

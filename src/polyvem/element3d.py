@@ -76,14 +76,11 @@ class Element3D:
     def _build_nodes(self):
         # the dof map lists a cell's nodes by global id: its vertices,
         # then the nodes of each edge
-        verts = self.mesh.vertices
-        pts = [verts[self.mesh.cell_vertex_ids(self.cell_id)]]
-        if self.k > 1:
-            ts = pb.edge_interior_nodes(self.k)
-            for eid in self.mesh.cell_edge_ids[self.cell_id]:
-                lo, hi = self.mesh.edges[eid]
-                pts.append(verts[lo] + ts[:, None] * (verts[hi] - verts[lo]))
-        self._node_points = np.concatenate(pts)
+        mesh = self.mesh
+        lo, hi = mesh.vertices[mesh.edges[mesh.cell_edge_ids[self.cell_id]].T]
+        self._node_points = np.concatenate(
+            [mesh.vertices[mesh.cell_vertex_ids(self.cell_id)],
+             pb._segment_points(lo, hi - lo, pb.edge_interior_nodes(self.k))])
 
     def volume_quadrature(self, degree):
         """A quadrature rule over the cell, exact to the degree.

@@ -41,6 +41,10 @@ def _diameter(points):
     return math.sqrt(np.max(np.einsum("ijk,ijk->ij", d, d)))
 
 
+def _has_zero_edge(points):
+    return np.any(np.all(points == np.roll(points, -1, axis=0), axis=1))
+
+
 def _edge_outward_normals(points):
     """Unit outward normals and anchor points of a CCW polygon's edges."""
     rolled = np.roll(points, -1, axis=0)
@@ -202,6 +206,8 @@ class PolygonalMesh2:
             area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
             if not area > 0.0:
                 raise MeshError(f"cell {ci} is not counterclockwise")
+            if _has_zero_edge(pts):
+                raise MeshError(f"cell {ci} has a zero-length edge")
             for a, b in zip(loop, loop[1:] + loop[:1]):
                 if (a, b) in directed:
                     raise MeshError(f"edge {a}-{b} traversed twice "
@@ -310,6 +316,8 @@ class PolyhedralMesh3:
             if min(loop) < 0 or max(loop) >= self.n_vertices:
                 raise MeshError(f"face {fid} references a missing vertex")
             pts3 = self.face_points(fid)
+            if _has_zero_edge(pts3):
+                raise MeshError(f"face {fid} has a zero-length edge")
             frame = FaceFrame(pts3)
             offsets = (pts3 - frame.origin) @ frame.normal
             hf = _diameter(pts3)
@@ -391,17 +399,16 @@ class QualityReport:
                        if tau_face is not None else None)
 
 
-def _edge_length_ratio(vertices, edges, ids):
-    lens = np.linalg.norm(vertices[edges[ids, 0]] - vertices[edges[ids, 1]],
-                          axis=1)
-    return float(lens.max() / lens.min())
-
-
 def quality_report(mesh):
     """Edge-length ratios tau per cell (and per face in 3D) and the
     kernel radius ratio rho per cell."""
-    tau = np.array([_edge_length_ratio(mesh.vertices, mesh.edges, ids)
-                    for ids in mesh.cell_edge_ids])
+    lens = np.linalg.norm(np.subtract(*mesh.vertices[mesh.edges.T]), axis=1)
+
+    def ratios(loop_edge_ids):
+        return np.array([lens[ids].max() / lens[ids].min()
+                         for ids in loop_edge_ids])
+
+    tau = ratios(mesh.cell_edge_ids)
     rho = np.empty(mesh.n_cells)
     for i in range(mesh.n_cells):
         normals, anchors, h = _kernel_halfspaces(mesh, i)
@@ -409,9 +416,7 @@ def quality_report(mesh):
         rho[i] = radius / h
     tau_face = None
     if mesh.dim == 3:
-        tau_face = np.array(
-            [_edge_length_ratio(mesh.vertices, mesh.edges, ids)
-             for ids in mesh.face_edge_ids])
+        tau_face = ratios(mesh.face_edge_ids)
     return QualityReport(tau, rho, tau_face)
 
 

@@ -205,6 +205,13 @@ def _fan_quadrature(apex, E, jac, degree):
     return qp.reshape(-1, E.shape[-1]), (jac[keep, None] * tw).ravel()
 
 
+def _segment_points(starts, steps, ts):
+    """The points start + t * step of each segment at each t, segment by
+    segment, as a (len(starts) * len(ts), dim) array."""
+    pts = starts[:, None] + ts[:, None] * steps[:, None]
+    return pts.reshape(-1, starts.shape[-1])
+
+
 def polygon_quadrature(points, star_center, degree):
     """Fan quadrature over a polygon star-shaped about star_center."""
     c = np.asarray(star_center, dtype=float)

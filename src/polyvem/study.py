@@ -164,14 +164,11 @@ def _linf_edges(mesh, k, dofmap, x_full, case, linf_factor):
     cheb = 0.5 - 0.5 * np.cos(np.pi * (2 * np.arange(nch) + 1) / (2 * nch))
     ts = np.concatenate([[0.0], cheb, [1.0]])
     lag = pb.lagrange_matrix(node_ts, ts)
-    worst = 0.0
-    for eid in range(mesh.n_edges):
-        lo, hi = mesh.vertices[mesh.edges[eid]]
-        pts = lo + ts[:, None] * (hi - lo)
-        trace = lag @ x_full[dofmap.edge_dofs(eid)]
-        dev = np.abs(np.asarray(case.u(pts)) - trace)
-        worst = max(worst, float(dev.max()))
-    return worst
+    lo, hi = mesh.vertices[mesh.edges.T]
+    pts = pb._segment_points(lo, hi - lo, ts)
+    trace = (lag @ x_full[dofmap.edge_dofs][:, :, None])[..., 0]
+    dev = np.abs(np.asarray(case.u(pts)).reshape(trace.shape) - trace)
+    return float(dev.max())
 
 
 def compute_errors(mesh, k, system, x_full, case,

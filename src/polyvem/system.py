@@ -61,6 +61,10 @@ class GlobalDofMap:
         moment_offset = nv + ne * (k - 1)
         cell_offset = moment_offset + len(loops) * npm
         self.n_total = cell_offset + mesh.n_cells * ncm
+        # per edge: its lower vertex, its k-1 nodes, its higher vertex
+        self.edge_dofs = np.column_stack(
+            [mesh.edges[:, 0], nv + (k - 1) * np.arange(ne)[:, None]
+             + np.arange(k - 1), mesh.edges[:, 1]])
         self._polygon_dofs = [
             self._walk(loop, eids, moment_offset + j * npm, npm)
             for j, (loop, eids) in enumerate(zip(loops, loop_edges))]
@@ -79,14 +83,6 @@ class GlobalDofMap:
         self.free = np.flatnonzero(~self.boundary)
         self.fixed = np.flatnonzero(self.boundary)
 
-    def edge_dofs(self, eid):
-        """Global dofs of an edge trace: both vertices and the interior
-        nodes, ordered from the lower vertex id to the higher."""
-        lo, hi = self.mesh.edges[eid]
-        base = self.mesh.n_vertices + eid * (self.k - 1)
-        return np.concatenate([[lo], np.arange(base, base + self.k - 1),
-                               [hi]]).astype(int)
-
     def face_dofs(self, fid):
         """Global dofs of 3D face fid in its face element's local order."""
         return self._polygon_dofs[fid]
@@ -96,14 +92,11 @@ class GlobalDofMap:
         return self._cell_dofs[i]
 
     def _walk(self, loop, edge_ids, start, n_moments):
-        k, nv = self.k, self.mesh.n_vertices
-        idx = list(loop)
-        for a, b, eid in zip(loop, loop[1:] + loop[:1], edge_ids):
-            base = nv + eid * (k - 1)
-            nodes = range(base, base + k - 1)
-            idx.extend(nodes if a < b else reversed(nodes))
-        idx.extend(range(start, start + n_moments))
-        return np.array(idx, dtype=int)
+        nodes = self.edge_dofs[edge_ids, 1:-1]
+        backward = np.array(loop) > np.roll(loop, -1)
+        nodes[backward] = nodes[backward, ::-1]
+        return np.concatenate([loop, nodes.ravel(),
+                               np.arange(start, start + n_moments)])
 
     def _cell_dofs_3d(self, i, moment_offset, start, n_moments):
         dofs = np.concatenate([self._polygon_dofs[fid]

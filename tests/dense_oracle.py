@@ -18,6 +18,13 @@ cell written separately for polygons and polyhedra. The package's
 simplex_rule, polygon_quadrature, facesplit meshes, GlobalDofMap and
 Element3D face dofs must equal them bit for bit.
 
+The sums over edges are kept one edge at a time as well: a polygon's
+node points, boundary term B, boundary means and edge stabilizations, an
+edge's global dofs, the walk of a polygon's dofs, the pointwise edge
+error and a polyhedron's node points. They take the package's basis and
+1D rules as arguments, since only the edge loops are under test, and the
+package's edge tables must reproduce them bit for bit.
+
 Run as a script to (re)generate tests/fixtures/klocal_unit_square_k1_*.json.
 """
 
@@ -306,6 +313,129 @@ def cell_face_dofs(mesh, k, cell_id):
         idx.extend(range(start, start + nmf))
         faces.append(np.array(idx, dtype=int))
     return faces
+
+
+# ---------------------------------------------------------------------------
+# edge sums, one edge at a time
+
+
+def polygon_edge_terms(points, k, basis, h, n_total, rules):
+    """Node points, B (before its moment term), both boundary means and
+    the s1/s2/s2tilde forms of a degree-k polygon, edge by edge.
+
+    rules holds the Lobatto nodes, the Gauss points and weights and the
+    Lagrange values and derivatives at the Gauss points of an edge.
+    """
+    nodes, tg, wg, lag, dlag = rules
+    nv = len(points)
+    node_pts = [points]
+    edge_dofs = []
+    lengths = np.empty(nv)
+    normals = np.empty((nv, 2))
+    for e in range(nv):
+        p0, p1 = points[e], points[(e + 1) % nv]
+        tang = p1 - p0
+        lengths[e] = np.linalg.norm(tang)
+        normals[e] = np.array([tang[1], -tang[0]]) / lengths[e]
+        edge_dofs.append(np.array(
+            [e] + [nv + e * (k - 1) + j for j in range(k - 1)]
+            + [(e + 1) % nv]))
+        if k > 1:
+            node_pts.append(p0 + nodes[1:-1][:, None] * tang)
+    B = np.zeros((basis.n, n_total))
+    mean_dof = np.zeros(n_total)
+    mean_mono = np.zeros(basis.n)
+    for e in range(nv):
+        p0, p1 = points[e], points[(e + 1) % nv]
+        dofs = edge_dofs[e]
+        pts = p0 + tg[:, None] * (p1 - p0)
+        qvals = (basis.grad(pts) @ normals[e]).T
+        B[:, dofs] += lengths[e] * qvals @ (wg[:, None] * lag)
+        mean_dof[dofs] += lengths[e] * (wg @ lag)
+        mean_mono += lengths[e] * (basis.eval(pts).T @ wg)
+    out = {"nodes": np.concatenate(node_pts), "B": B,
+           "mean_dof": mean_dof / lengths.sum(),
+           "mean_mono": mean_mono / lengths.sum(),
+           "s1": np.diag((np.arange(n_total) < nv * k).astype(float))}
+    local = (dlag.T * wg) @ dlag
+    for kind in ("s2", "s2tilde"):
+        S = np.zeros((n_total, n_total))
+        for e in range(nv):
+            weight = h / lengths[e] if kind == "s2" else 1.0
+            S[np.ix_(edge_dofs[e], edge_dofs[e])] += weight * local
+        out[kind] = S
+    return out
+
+
+def seminorm_tbar(points, k, H, measure, h, v, rules):
+    """The tbar seminorm of dofs v on a polygon, edge by edge."""
+    _, tg, wg, lag, _ = rules
+    nv = len(points)
+    nm = _n_poly(2, k - 2)
+    total = 0.0
+    if nm:
+        c = np.linalg.solve(H[:nm, :nm], measure * v[nv * k:])
+        total += c @ H[:nm, :nm] @ c
+    gram = 1.0 / (np.arange(k)[:, None] + np.arange(k)[None, :] + 1.0)
+    powers = tg[:, None] ** np.arange(k)
+    edge_total = 0.0
+    for e in range(nv):
+        dofs = [e] + [nv + e * (k - 1) + j for j in range(k - 1)] \
+            + [(e + 1) % nv]
+        r = powers.T @ (wg * (lag @ v[dofs]))
+        length = np.linalg.norm(points[(e + 1) % nv] - points[e])
+        edge_total += length * (r @ np.linalg.solve(gram, r))
+    return float(np.sqrt(total + h * edge_total))
+
+
+def edge_dofs(mesh, k, eid):
+    """Global dofs of an edge: its lower vertex, its k-1 nodes, its
+    higher vertex."""
+    lo, hi = mesh.edges[eid]
+    base = mesh.n_vertices + eid * (k - 1)
+    return np.concatenate([[lo], np.arange(base, base + k - 1),
+                           [hi]]).astype(int)
+
+
+def walk(mesh, k, loop, edge_ids, start, n_moments):
+    """Global dofs of a polygon: its loop vertices, the nodes of each
+    segment in loop direction, then its moments from start on."""
+    idx = list(loop)
+    for a, b, eid in zip(loop, loop[1:] + loop[:1], edge_ids):
+        base = mesh.n_vertices + eid * (k - 1)
+        nodes = range(base, base + k - 1)
+        idx.extend(nodes if a < b else reversed(nodes))
+    idx.extend(range(start, start + n_moments))
+    return np.array(idx, dtype=int)
+
+
+def linf_edges(mesh, k, x_full, u, linf_factor, node_ts, lagrange_matrix):
+    """Worst deviation of the edge traces of x_full from u, edge by edge,
+    at Chebyshev points plus the endpoints."""
+    nch = linf_factor * (4 * k + 1)
+    cheb = 0.5 - 0.5 * np.cos(np.pi * (2 * np.arange(nch) + 1) / (2 * nch))
+    ts = np.concatenate([[0.0], cheb, [1.0]])
+    lag = lagrange_matrix(node_ts, ts)
+    worst = 0.0
+    for eid in range(mesh.n_edges):
+        lo, hi = mesh.vertices[mesh.edges[eid]]
+        pts = lo + ts[:, None] * (hi - lo)
+        trace = lag @ x_full[edge_dofs(mesh, k, eid)]
+        worst = max(worst, float(np.abs(np.asarray(u(pts)) - trace).max()))
+    return worst
+
+
+def cell_node_points(mesh, k, cell_id, interior_ts):
+    """Node points of a polyhedron: its vertices, then the interior
+    nodes of each of its edges, both by global id."""
+    verts = mesh.vertices
+    pts = [verts[mesh.cell_vertex_ids(cell_id)]]
+    if k > 1:
+        for eid in mesh.cell_edge_ids[cell_id]:
+            lo, hi = mesh.edges[eid]
+            pts.append(verts[lo] + interior_ts[:, None]
+                       * (verts[hi] - verts[lo]))
+    return np.concatenate(pts)
 
 
 def main():

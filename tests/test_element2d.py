@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 from conftest import random_star_polygon
+from polyvem import element2d
 from polyvem import mesh as pm
 from polyvem import polybasis as pb
 from polyvem.element2d import Element2D
@@ -375,3 +377,65 @@ def test_seminorm_homogeneity(rng):
     v = rng.uniform(-1, 1, size=el.layout.n_total)
     assert math.isclose(el.seminorm_tbar(2.0 * v), 2.0 * el.seminorm_tbar(v),
                         rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the edge table against the sums taken one edge at a time
+
+
+def edge_cases():
+    """The unit square, random star polygons without a small edge and
+    with one of relative length 1e-3 or 1e-6, and smalledge cells."""
+    rng = np.random.default_rng(7)
+    polys = [unit_square()]
+    for small in [None] * 4 + [1e-3] * 2 + [1e-6] * 2:
+        polys.append(random_star_polygon(rng, small_edge=small))
+    for eps in ("0.1", "1e-3"):
+        mesh = pm.generate_square_mesh(4, f"smalledge({eps})")
+        polys += [mesh.cell_points(0), mesh.cell_points(5)]
+    return polys
+
+
+def edge_rules(k):
+    tg, wg = pb.gauss_legendre(k + 2)
+    return (pb.gauss_lobatto(k + 1), tg, wg, *pb.edge_gauss_lagrange(k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_edge_table_equals_edge_loop_bitwise(monkeypatch, k):
+    seen = {}
+    solve = element2d._solve_projectors
+
+    def spy(el, B, mean_dof, mean_mono):
+        seen.update(B=B.copy(), mean_dof=mean_dof.copy(),
+                    mean_mono=mean_mono.copy())
+        solve(el, B, mean_dof, mean_mono)
+
+    monkeypatch.setattr(element2d, "_solve_projectors", spy)
+    for pts in edge_cases():
+        el = Element2D(pts, k)
+        want = dense_oracle.polygon_edge_terms(
+            el.points, k, el.basis, el.geometry.h, el.layout.n_total,
+            edge_rules(k))
+        assert np.array_equal(el._node_points, want["nodes"])
+        for key in ("B", "mean_dof", "mean_mono"):
+            assert np.array_equal(seen[key], want[key]), key
+        for kind in ("s1", "s2", "s2tilde"):
+            assert np.array_equal(el.stabilization_matrix(kind), want[kind])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_seminorm_equals_edge_loop(k):
+    for i, pts in enumerate(edge_cases()):
+        el = Element2D(pts, k)
+        v = np.random.default_rng(i).standard_normal(el.layout.n_total)
+        want = dense_oracle.seminorm_tbar(
+            el.points, k, el.H, el.geometry.measure, el.geometry.h, v,
+            edge_rules(k))
+        assert math.isclose(el.seminorm_tbar(v), want, rel_tol=1e-15)
+
+
+def test_zero_length_edge_raises_mesh_error():
+    pts = np.array([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]], float)
+    with pytest.raises(pm.MeshError, match="zero-length edge"):
+        Element2D(pts, 2)

@@ -8,6 +8,7 @@ import pytest
 import dense_oracle
 from conftest import integrate_monomial_over_box
 from polyvem import mesh as pm
+from polyvem import polybasis as pb
 from polyvem.element3d import Element3D, build_face_cache
 from polyvem.system import GlobalDofMap, build_elements
 
@@ -103,6 +104,17 @@ def test_dof_order_equals_reference_bitwise(family, n):
                 assert len(el.face_dofs) == len(want)
                 for got, ref in zip(el.face_dofs, want):
                     assert np.array_equal(got, ref), (k, i)
+
+
+@pytest.mark.parametrize("family", ["uniform", "facesplit(0.05)"])
+def test_node_points_equal_edge_loop_bitwise(family):
+    for n in (1, 2):
+        mesh = pm.generate_cube_mesh(n, family)
+        for k in (1, 2, 3):
+            for el in build_elements(GlobalDofMap(mesh, k)):
+                want = dense_oracle.cell_node_points(
+                    mesh, k, el.cell_id, pb.edge_interior_nodes(k))
+                assert np.array_equal(el._node_points, want)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -292,6 +292,23 @@ def test_nonplanar_face_rejected():
         bent.validate()
 
 
+def test_zero_length_edge_rejected_2d():
+    verts = [[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]]
+    mesh = pm.PolygonalMesh2(verts, [[0, 1, 2, 3, 4]])
+    with pytest.raises(pm.MeshError, match="cell 0 has a zero-length edge"):
+        mesh.validate()
+
+
+def test_zero_length_edge_rejected_3d():
+    cube = pm.generate_cube_mesh(1, "uniform")
+    loop = cube.faces[0]
+    verts = np.vstack([cube.vertices, cube.vertices[loop[1]]])
+    faces = [loop[:2] + [cube.n_vertices] + loop[2:]] + cube.faces[1:]
+    mesh = pm.PolyhedralMesh3(verts, faces, cube.cells)
+    with pytest.raises(pm.MeshError, match="face 0 has a zero-length edge"):
+        mesh.validate()
+
+
 def test_face_orientation_signs_opposite():
     m = pm.generate_cube_mesh(2, "uniform")
     seen = {}

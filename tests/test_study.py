@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import dense_oracle
 from polyvem import mesh as pm
+from polyvem import polybasis as pb
 from polyvem import system as ps
 from polyvem import study as st
 
@@ -131,6 +133,25 @@ def test_error_linf_sampling_density_stable():
     base = st.compute_errors(mesh, 2, sys_, x, case)
     fine = st.compute_errors(mesh, 2, sys_, x, case, linf_factor=4)
     assert abs(base["linf_edge"] - fine["linf_edge"]) <= 0.01 * fine["linf_edge"]
+
+
+@pytest.mark.parametrize("dim,family",
+                         [(2, "smalledge(0.1)"), (2, "distorted(3)"),
+                          (2, "hanging"), (2, "uniform"), (3, "uniform"),
+                          (3, "facesplit(0.05)")])
+def test_linf_edges_equals_edge_loop_bitwise(dim, family):
+    mesh = (pm.generate_square_mesh(4, family) if dim == 2
+            else pm.generate_cube_mesh(2, family))
+    for k in (1, 2, 3):
+        dofmap = ps.GlobalDofMap(mesh, k)
+        x = np.random.default_rng(k).standard_normal(dofmap.n_total)
+        for case in (st.get_case("sine", dim), st.get_case("patch", dim, k)):
+            for factor in (1, 2):
+                want = dense_oracle.linf_edges(
+                    mesh, k, x, case.u, factor, pb.gauss_lobatto(k + 1),
+                    pb.lagrange_matrix)
+                got = st._linf_edges(mesh, k, dofmap, x, case, factor)
+                assert got == want
 
 
 def test_energy_error_identity():

@@ -63,6 +63,35 @@ def test_dofmap_2d_equals_reference_bitwise(family):
                                   dense_oracle.cell_dofs(m, k, i))
 
 
+def dofmap_meshes():
+    for family in ("uniform", "smalledge(0.1)", "distorted(3)", "hanging"):
+        yield pm.generate_square_mesh(4, family)
+    for family in ("uniform", "facesplit(0.05)"):
+        for n in (1, 2):
+            yield pm.generate_cube_mesh(n, family)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_edge_dofs_and_walk_equal_edge_loop_bitwise(k):
+    for m in dofmap_meshes():
+        dm = ps.GlobalDofMap(m, k)
+        assert dm.edge_dofs.shape == (m.n_edges, k + 1)
+        for eid in range(m.n_edges):
+            assert np.array_equal(dm.edge_dofs[eid],
+                                  dense_oracle.edge_dofs(m, k, eid))
+        npm = pb.n_poly(2, k - 2)
+        start = m.n_vertices + m.n_edges * (k - 1)
+        if m.dim == 2:
+            loops, loop_edges, polygon_dofs = (m.cells, m.cell_edge_ids,
+                                               dm.cell_dofs)
+        else:
+            loops, loop_edges, polygon_dofs = (m.faces, m.face_edge_ids,
+                                               dm.face_dofs)
+        for j, (loop, eids) in enumerate(zip(loops, loop_edges)):
+            want = dense_oracle.walk(m, k, loop, eids, start + j * npm, npm)
+            assert np.array_equal(polygon_dofs(j), want)
+
+
 # ---------------------------------------------------------------------------
 # assembly
 
