@@ -22,10 +22,10 @@ def _mesh_gen(args):
             mesh = generate_square_mesh(args.n, args.family)
         else:
             mesh = generate_cube_mesh(args.n, args.family)
-    except (MeshError, ValueError) as exc:
+        save_mesh(mesh, args.out)
+    except (MeshError, ValueError, OSError) as exc:
         print(f"mesh generation failed: {exc}", file=sys.stderr)
         return 1
-    save_mesh(mesh, args.out)
     print(f"wrote {args.out}: dim={mesh.dim} "
           f"vertices={mesh.n_vertices} cells={mesh.n_cells}")
     return 0
@@ -69,7 +69,7 @@ def _study_run(args):
                                   if tok.strip()]
         config = StudyConfig(**settings)
         report = run_study(config)
-    except (MeshError, ValueError) as exc:
+    except (MeshError, ValueError, OSError) as exc:
         print(f"study failed: {exc}", file=sys.stderr)
         return 1
     for key, slope in report["slopes"].items():

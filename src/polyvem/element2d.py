@@ -3,8 +3,8 @@
 Shape functions are never evaluated inside the cell: everything is driven
 by their degrees of freedom (vertex values, Lobatto edge values, scaled
 interior moments). The element exposes the energy and L2 projectors onto
-polynomials, the projected stiffness with a choice of stabilizations, the
-projected load, and the interpolation operator.
+polynomials, the projected stiffness with a choice of stabilizations and
+the projected load; the interpolant is system.interpolate_global.
 """
 
 import numpy as np
@@ -115,16 +115,6 @@ def _moments(el, func):
     fvals = np.asarray(func(el._qp), dtype=float)
     vals = el.basis.eval(el._qp)[:, :el.layout.n_moment]
     return (vals.T * el._qw) @ fvals / el.geometry.measure
-
-
-def _interpolate(el, func):
-    """Interpolant dofs at the nodes and cell moments; others left unset."""
-    dofs = np.empty(el.layout.n_total)
-    dofs[:len(el._node_points)] = np.asarray(func(el._node_points),
-                                             dtype=float)
-    if el.layout.n_moment:
-        dofs[-el.layout.n_moment:] = _moments(el, func)
-    return dofs
 
 
 class Element2D:
@@ -238,15 +228,11 @@ class Element2D:
         """Projected stiffness plus the stabilized residual part."""
         return _local_stiffness(self, self.stabilization_matrix(kind))
 
-    # -- load, interpolation, norms ----------------------------------------
+    # -- load and norms ----------------------------------------------------
 
     def local_load(self, f):
         """Right hand side integrals of f against the projected dofs."""
         return _local_load(self, f)
-
-    def interpolate(self, func):
-        """Dof vector of the interpolant of a function given pointwise."""
-        return _interpolate(self, func)
 
     def seminorm_tbar(self, v):
         """Computable seminorm combining the projected interior part with

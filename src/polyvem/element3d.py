@@ -10,8 +10,8 @@ face's own scaled monomials, and interior cell moments.
 import numpy as np
 
 from . import polybasis as pb
-from .element2d import (DofLayout, Element2D, _interpolate, _local_load,
-                        _local_stiffness, _moments, _solve_projectors)
+from .element2d import (DofLayout, Element2D, _local_load, _local_stiffness,
+                        _solve_projectors)
 from .mesh import cell_geometry
 
 
@@ -65,22 +65,15 @@ class Element3D:
         self.basis = pb.ScaledMonomialBasis(
             3, k, self.geometry.centroid, self.geometry.h)
 
-        self._build_nodes()
+        # the cell's nodes lead its dofs, in global order
+        self._node_points = dofmap.node_points[
+            dofs[dofs < len(dofmap.node_points)]]
         self._qp, self._qw = self.volume_quadrature(2 * k)
         self.H = pb.mass_matrix(self.basis, self._qp, self._qw)
         self.Gt = pb.stiffness_from_mass(self.basis, self.H)
         self._build_projectors()
 
     # -- geometry ------------------------------------------------------------
-
-    def _build_nodes(self):
-        # the dof map lists a cell's nodes by global id: its vertices,
-        # then the nodes of each edge
-        mesh = self.mesh
-        lo, hi = mesh.vertices[mesh.edges[mesh.cell_edge_ids[self.cell_id]].T]
-        self._node_points = np.concatenate(
-            [mesh.vertices[mesh.cell_vertex_ids(self.cell_id)],
-             pb._segment_points(lo, hi - lo, pb.edge_interior_nodes(self.k))])
 
     def volume_quadrature(self, degree):
         """A quadrature rule over the cell, exact to the degree.
@@ -163,19 +156,8 @@ class Element3D:
         """Projected stiffness plus the stabilized residual part."""
         return _local_stiffness(self, self.stabilization_matrix())
 
-    # -- load and interpolation -------------------------------------------------
+    # -- load -------------------------------------------------------------------
 
     def local_load(self, f):
         """Right hand side integrals of f against the projected dofs."""
         return _local_load(self, f)
-
-    def interpolate(self, func):
-        """Dof vector of the interpolant of a function given pointwise."""
-        dofs = _interpolate(self, func)
-        # node values stay those taken at the cell's own node points
-        for idx, face in zip(self.face_dofs, self._faces):
-            fel, frame = face.element, face.frame
-            if fel.layout.n_moment:
-                dofs[idx[fel.layout.n_boundary:]] = _moments(
-                    fel, lambda q2: func(frame.to3d(q2)))
-        return dofs

@@ -8,6 +8,7 @@ checkerboard 2:1 nonconforming refinements, and randomly jittered grids.
 
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -179,7 +180,7 @@ class PolygonalMesh2:
 
     def __init__(self, vertices, cells):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.cells = [[int(v) for v in loop] for loop in cells]
+        self.cells = [[operator.index(v) for v in loop] for loop in cells]
         self.n_vertices = len(self.vertices)
         self.n_cells = len(self.cells)
         self.cell_edge_ids, counts = _number_edges(self, self.cells)
@@ -192,6 +193,8 @@ class PolygonalMesh2:
         return self.vertices[self.cells[i]]
 
     def validate(self):
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
+            raise MeshError("vertices are not an (n, 2) array")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("mesh has non-finite vertex coordinates")
         directed = set()
@@ -230,8 +233,9 @@ class PolyhedralMesh3:
 
     def __init__(self, vertices, faces, cells):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.faces = [[int(v) for v in loop] for loop in faces]
-        self.cells = [[[int(f), int(s)] for f, s in cell] for cell in cells]
+        self.faces = [[operator.index(v) for v in loop] for loop in faces]
+        self.cells = [[[operator.index(f), operator.index(s)] for f, s in cell]
+                      for cell in cells]
         self.n_vertices = len(self.vertices)
         self.n_faces = len(self.faces)
         self.n_cells = len(self.cells)
@@ -308,6 +312,8 @@ class PolyhedralMesh3:
         return np.concatenate(tets), np.concatenate(signs)
 
     def validate(self):
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
+            raise MeshError("vertices are not an (n, 3) array")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("mesh has non-finite vertex coordinates")
         for fid, loop in enumerate(self.faces):
@@ -640,12 +646,15 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path):
-    """Read a mesh written by save_mesh."""
+    """Read a mesh written by save_mesh; MeshError if the file holds none."""
     with open(path) as fh:
         data = json.load(fh)
-    if data["dim"] == 2:
-        return PolygonalMesh2(data["vertices"], data["cells"])
-    if data["dim"] == 3:
-        return PolyhedralMesh3(data["vertices"], data["faces"],
-                               data["cells"])
+    try:
+        if data["dim"] == 2:
+            return PolygonalMesh2(data["vertices"], data["cells"])
+        if data["dim"] == 3:
+            return PolyhedralMesh3(data["vertices"], data["faces"],
+                                   data["cells"])
+    except TypeError as exc:
+        raise MeshError(f"malformed mesh file: {exc}") from None
     raise MeshError(f"unsupported dimension {data['dim']!r}")

@@ -15,7 +15,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import polybasis as pb
-from .element2d import Element2D
+from .element2d import Element2D, _moments
 from .element3d import Element3D, build_face_cache
 
 DIRECT_SOLVER_LIMIT = 50_000
@@ -65,6 +65,11 @@ class GlobalDofMap:
         self.edge_dofs = np.column_stack(
             [mesh.edges[:, 0], nv + (k - 1) * np.arange(ne)[:, None]
              + np.arange(k - 1), mesh.edges[:, 1]])
+        # the point of each node dof: the vertices, then each edge's nodes
+        lo, hi = mesh.vertices[mesh.edges.T]
+        self.node_points = np.concatenate(
+            [mesh.vertices,
+             pb._segment_points(lo, hi - lo, pb.edge_interior_nodes(k))])
         self._polygon_dofs = [
             self._walk(loop, eids, moment_offset + j * npm, npm)
             for j, (loop, eids) in enumerate(zip(loops, loop_edges))]
@@ -232,13 +237,23 @@ def solve_linear(A, b, method="auto", tol=1e-12, maxiter=None):
     return x, SolveInfo("cg", True, count, residual)
 
 
-def interpolate_global(mesh, k, func, elements=None, dofmap=None):
-    """Dof vector interpolating a function given pointwise."""
-    if dofmap is None:
-        dofmap = GlobalDofMap(mesh, k)
-    if elements is None:
-        elements = build_elements(dofmap)
-    x = np.zeros(dofmap.n_total)
+def interpolate_global(mesh, k, func, elements, dofmap):
+    """Dof vector interpolating a function given pointwise.
+
+    Each dof is filled once: every node value from one call on
+    dofmap.node_points, then the moments of each polygon (the cells in
+    2D, the faces through their charts in 3D) and in 3D of each cell.
+    """
+    x = np.empty(dofmap.n_total)
+    x[:len(dofmap.node_points)] = func(dofmap.node_points)
+    if k == 1:
+        return x
+    if mesh.dim == 3:
+        faces = {face.face_id: face for el in elements for face in el._faces}
+        for fid, face in faces.items():
+            fel, frame = face.element, face.frame
+            x[dofmap.face_dofs(fid)[fel.layout.n_boundary:]] = _moments(
+                fel, lambda q2: func(frame.to3d(q2)))
     for i, el in enumerate(elements):
-        x[dofmap.cell_dofs(i)] = el.interpolate(func)
+        x[dofmap.cell_dofs(i)[el.layout.n_boundary:]] = _moments(el, func)
     return x

@@ -25,6 +25,12 @@ error and a polyhedron's node points. They take the package's basis and
 1D rules as arguments, since only the edge loops are under test, and the
 package's edge tables must reproduce them bit for bit.
 
+Last, it keeps the interpolant built one cell at a time, each element
+writing func at its own node points and its moments (in 3D also the
+moments of each of its faces) into the cells' global dofs. The package
+fills each global dof once; its moment entries must equal these bit for
+bit, and its node entries may differ only by the rounding of the points.
+
 Run as a script to (re)generate tests/fixtures/klocal_unit_square_k1_*.json.
 """
 
@@ -436,6 +442,56 @@ def cell_node_points(mesh, k, cell_id, interior_ts):
             pts.append(verts[lo] + interior_ts[:, None]
                        * (verts[hi] - verts[lo]))
     return np.concatenate(pts)
+
+
+# ---------------------------------------------------------------------------
+# the interpolant, one element at a time
+
+
+def polygon_node_points(points, interior_ts):
+    """Node points of a polygon: its vertices, then the interior nodes of
+    each segment in loop direction."""
+    nodes = [points] + [p0 + interior_ts[:, None] * (p1 - p0) for p0, p1
+                        in zip(points, np.roll(points, -1, axis=0))]
+    return np.concatenate(nodes)
+
+
+def moments(el, func):
+    """The scaled moments of func against an element's first n_moment
+    monomials, on its volume quadrature."""
+    vals = el.basis.eval(el._qp)[:, :el.layout.n_moment]
+    fvals = np.asarray(func(el._qp), dtype=float)
+    return (vals.T * el._qw) @ fvals / el.geometry.measure
+
+
+def element_interpolant(el, func, node_points):
+    """The dofs of one element: func at its node points, then its cell
+    moments; the face moments of a polyhedron are left at zero."""
+    dofs = np.zeros(el.layout.n_total)
+    dofs[:len(node_points)] = func(node_points)
+    dofs[el.layout.n_boundary:] = moments(el, func)
+    return dofs
+
+
+def interpolate_by_cell(mesh, k, func, elements, dofmap, interior_ts):
+    """The global interpolant written cell by cell: in 2D each cell's node
+    values at its own segment points, in 3D at its edges' points from
+    the lower vertex, and each polyhedron's face moments through the face
+    charts. A dof shared by cells keeps the last cell's value."""
+    x = np.zeros(dofmap.n_total)
+    for i, el in enumerate(elements):
+        if mesh.dim == 2:
+            nodes = polygon_node_points(el.points, interior_ts)
+        else:
+            nodes = cell_node_points(mesh, k, i, interior_ts)
+        dofs = element_interpolant(el, func, nodes)
+        if mesh.dim == 3 and k > 1:
+            for pos, face in zip(el.face_dofs, el._faces):
+                fel, frame = face.element, face.frame
+                dofs[pos[fel.layout.n_boundary:]] = moments(
+                    fel, lambda q2: func(frame.to3d(q2)))
+        x[dofmap.cell_dofs(i)] = dofs
+    return x
 
 
 def main():

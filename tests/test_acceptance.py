@@ -94,7 +94,7 @@ def test_acceptance_1_patch_test_2d():
             sys_.apply_boundary_values(g)
             x, info = sys_.solve()
             PATCH_SOLVE_INFOS.append(info)
-            errs = st.compute_errors(mesh, k, sys_, x, case)
+            errs = st.compute_errors(mesh, k, sys_, x, case, g)
             for name, val in errs.items():
                 assert val <= 1e-8, (k, family, name, val)
     assert time.monotonic() - t0 < 10.0
@@ -222,7 +222,7 @@ def test_acceptance_7_interpolation_rates():
             x = ps.interpolate_global(mesh, k, case.u,
                                       elements=sys_.elements,
                                       dofmap=sys_.dofmap)
-            errs = st.compute_errors(mesh, k, sys_, x, case)
+            errs = st.compute_errors(mesh, k, sys_, x, case, x)
             hs.append(max(pm.polygon_geometry(mesh.cell_points(c)).h
                           for c in range(mesh.n_cells)))
             l2.append(errs["l2_pizero"])

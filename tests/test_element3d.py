@@ -10,7 +10,7 @@ from conftest import integrate_monomial_over_box
 from polyvem import mesh as pm
 from polyvem import polybasis as pb
 from polyvem.element3d import Element3D, build_face_cache
-from polyvem.system import GlobalDofMap, build_elements
+from polyvem.system import GlobalDofMap, build_elements, interpolate_global
 
 
 def cube_mesh(family="uniform"):
@@ -21,6 +21,15 @@ def make_element(mesh, cell_id, k, cache=None):
     if cache is None:
         cache = build_face_cache(mesh, k)
     return Element3D(GlobalDofMap(mesh, k), cell_id, cache)
+
+
+def interpolate(el, func):
+    """The slice of the global interpolant of func on el's one-cell mesh
+    that el's dofs pick out."""
+    assert el.mesh.n_cells == 1
+    dofmap = GlobalDofMap(el.mesh, el.k)
+    g = interpolate_global(el.mesh, el.k, func, [el], dofmap)
+    return g[dofmap.cell_dofs(el.cell_id)]
 
 
 # ---------------------------------------------------------------------------
@@ -337,26 +346,30 @@ def test_interpolation_reproduces_monomials_3d(k):
     el = make_element(mesh, 0, k)
     for j in range(el.basis.n):
         func = lambda p, j=j: el.basis.eval(p)[:, j]
-        dofs = el.interpolate(func)
+        dofs = interpolate(el, func)
         assert np.allclose(dofs, el.d_mat[:, j], atol=1e-12)
 
 
 def test_interpolation_commutes_with_face_restriction():
+    # the face dofs of the global interpolant are the 2D interpolant of
+    # the trace on the face element
     mesh = cube_mesh("uniform")
     k = 2
-    cache = build_face_cache(mesh, k)
-    el = make_element(mesh, 0, k, cache)
+    dofmap = GlobalDofMap(mesh, k)
+    elements = build_elements(dofmap)
 
     def zeta(p):
         return np.sin(p[:, 0] + 0.5 * p[:, 1]) * np.cosh(p[:, 2])
 
-    dofs3 = el.interpolate(zeta)
-    for local, (fid, _sign) in enumerate(mesh.cells[0]):
-        face = cache[fid]
-        idx = el.face_dofs[local]
+    g = interpolate_global(mesh, k, zeta, elements, dofmap)
+    ts = pb.edge_interior_nodes(k)
+    for face in elements[0]._faces:
+        fel = face.element
 
         def trace(q2, face=face):
             return zeta(face.frame.to3d(q2))
 
-        dofs2 = face.element.interpolate(trace)
-        assert np.allclose(dofs3[idx], dofs2, atol=1e-12)
+        dofs2 = dense_oracle.element_interpolant(
+            fel, trace, dense_oracle.polygon_node_points(fel.points, ts))
+        assert np.allclose(g[dofmap.face_dofs(face.face_id)], dofs2,
+                           atol=1e-12)

@@ -375,3 +375,30 @@ def test_cli_mesh_check_rejects_garbage(tmp_path):
     from polyvem.cli import main
 
     assert main(["mesh", "check", "--in", str(bad)]) != 0
+
+
+def test_cli_mesh_gen_unwritable_out_exit_code(tmp_path, capsys):
+    from polyvem.cli import main
+
+    out = tmp_path / "missing" / "m.json"
+    assert main(["mesh", "gen", "--n", "2", "--out", str(out)]) == 1
+    assert "mesh generation failed:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '[{"dim": 2}]',
+    '{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "cells": 5}',
+    '{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], '
+    '"cells": [[0, 1, 2.7]]}',
+    '{"dim": 2, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], '
+    '"cells": [[0, 1, 2]]}',
+], ids=["list", "int-cells", "float-id", "3-columns"])
+def test_malformed_mesh_file_raises_mesh_error(tmp_path, capsys, text):
+    from polyvem.cli import main
+
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(pm.MeshError):
+        pm.load_mesh(path).validate()
+    assert main(["mesh", "check", "--in", str(path)]) == 1
+    assert "invalid mesh:" in capsys.readouterr().err

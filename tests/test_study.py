@@ -104,12 +104,18 @@ def solve_sine(n, k, stab="s2"):
     return mesh, sys_, x, case
 
 
+def interpolant(mesh, sys_, case):
+    return ps.interpolate_global(mesh, sys_.k, case.u, sys_.elements,
+                                 sys_.dofmap)
+
+
 def test_error_norms_of_zero_solution_frozen():
     mesh = pm.generate_square_mesh(2, "uniform")
     case = st.get_case("sine", 2)
     sys_ = ps.assemble(mesh, 2, "s2", f=case.f)
     x = np.zeros(sys_.dofmap.n_total)
-    errs = st.compute_errors(mesh, 2, sys_, x, case)
+    errs = st.compute_errors(mesh, 2, sys_, x, case,
+                             interpolant(mesh, sys_, case))
     # ||u||_L2 = 1/2 and |u|_H1 = pi/sqrt(2) for u = sin(pi x) sin(pi y)
     assert math.isclose(errs["l2_pizero"], 0.5, rel_tol=1e-9)
     assert math.isclose(errs["l2_pinabla"], 0.5, rel_tol=1e-9)
@@ -122,16 +128,18 @@ def test_error_norms_of_zero_solution_frozen():
 
 def test_error_norms_quadrature_refinement_stable():
     mesh, sys_, x, case = solve_sine(4, 2)
-    base = st.compute_errors(mesh, 2, sys_, x, case)
-    fine = st.compute_errors(mesh, 2, sys_, x, case, quad_increase=6)
+    g = interpolant(mesh, sys_, case)
+    base = st.compute_errors(mesh, 2, sys_, x, case, g)
+    fine = st.compute_errors(mesh, 2, sys_, x, case, g, quad_increase=6)
     for key in ("h1_pinabla", "h1_pizero", "l2_pizero", "l2_pinabla"):
         assert math.isclose(base[key], fine[key], rel_tol=1e-8)
 
 
 def test_error_linf_sampling_density_stable():
     mesh, sys_, x, case = solve_sine(4, 2)
-    base = st.compute_errors(mesh, 2, sys_, x, case)
-    fine = st.compute_errors(mesh, 2, sys_, x, case, linf_factor=4)
+    g = interpolant(mesh, sys_, case)
+    base = st.compute_errors(mesh, 2, sys_, x, case, g)
+    fine = st.compute_errors(mesh, 2, sys_, x, case, g, linf_factor=4)
     assert abs(base["linf_edge"] - fine["linf_edge"]) <= 0.01 * fine["linf_edge"]
 
 
@@ -156,8 +164,8 @@ def test_linf_edges_equals_edge_loop_bitwise(dim, family):
 
 def test_energy_error_identity():
     mesh, sys_, x, case = solve_sine(4, 2)
-    errs = st.compute_errors(mesh, 2, sys_, x, case)
-    g = ps.interpolate_global(mesh, 2, case.u)
+    g = interpolant(mesh, sys_, case)
+    errs = st.compute_errors(mesh, 2, sys_, x, case, g)
     d = (g - x)[sys_.dofmap.free]
     direct = math.sqrt(d @ (sys_.A @ d))
     assert math.isclose(errs["energy"], direct, rel_tol=1e-12)
@@ -167,11 +175,10 @@ def test_patch_solution_errors_tiny():
     mesh = pm.generate_square_mesh(2, "uniform")
     case = st.get_case("patch", 2, k=2)
     sys_ = ps.assemble(mesh, 2, "s2", f=case.f)
-    g = ps.interpolate_global(mesh, 2, case.u, elements=sys_.elements,
-                              dofmap=sys_.dofmap)
+    g = interpolant(mesh, sys_, case)
     sys_.apply_boundary_values(g)
     x, _ = sys_.solve()
-    errs = st.compute_errors(mesh, 2, sys_, x, case)
+    errs = st.compute_errors(mesh, 2, sys_, x, case, g)
     for v in errs.values():
         assert v <= 1e-9
 
@@ -270,6 +277,22 @@ def test_run_study_patch_mode(tmp_path):
             assert lv[key] <= 1e-8
 
 
+@pytest.mark.parametrize("case", ["sine", "patch"])
+def test_run_study_interpolates_once_per_level(monkeypatch, case):
+    # the one interpolant of a level is the boundary data in patch mode
+    # and the reference of the energy error in both modes
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ps.interpolate_global(*args, **kwargs)
+
+    monkeypatch.setattr(st, "interpolate_global", counted)
+    levels = [2, 3, 4]
+    st.run_study(st.StudyConfig(dim=2, k=2, case=case, levels=levels))
+    assert len(calls) == len(levels)
+
+
 def test_run_study_corner_not_rate_asserted(tmp_path):
     report = run_small_study(tmp_path, case="corner", levels=[2, 4, 8],
                              assert_rates=True)
@@ -334,6 +357,17 @@ def test_cli_study_bad_levels_exit_code(tmp_path, capsys):
 
     rc = main(["study", "run", "--levels", "4,x",
                "--out", str(tmp_path / "bad_levels")])
+    assert rc == 1
+    assert "study failed:" in capsys.readouterr().err
+
+
+def test_cli_study_unwritable_out_exit_code(tmp_path, capsys):
+    from polyvem.cli import main
+
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["study", "run", "--k", "1", "--levels", "1",
+               "--out", str(blocker / "out")])
     assert rc == 1
     assert "study failed:" in capsys.readouterr().err
 

@@ -1,5 +1,6 @@
 """Tests for global dof mapping, sparse assembly, and the linear solve."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 import dense_oracle
 from polyvem import mesh as pm
 from polyvem import polybasis as pb
+from polyvem import study as st
 from polyvem import system as ps
 
 
@@ -259,23 +261,84 @@ def test_injection_3d_smoke():
     assert np.max(np.abs(x - g)) <= 1e-11
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_interpolant_node_dofs_are_exact_point_values_3d(k):
-    # every cell takes its node values at its own node points, so a node
-    # shared by cells and faces gets func at the mesh node, bit for bit
-    m = pm.generate_cube_mesh(2, "facesplit(0.05)")
+@functools.cache
+def built(dim, family, n, k):
+    """(mesh, dofmap, elements) of a generated mesh, shared by the tests
+    below, which only read them."""
+    m = (pm.generate_square_mesh(n, family) if dim == 2
+         else pm.generate_cube_mesh(n, family))
+    dofmap = ps.GlobalDofMap(m, k)
+    return m, dofmap, ps.build_elements(dofmap)
 
-    def u(p):
-        return p[:, 0] * p[:, 1] + p[:, 2] / (1.0 + p[:, 0]) - 0.3 * p[:, 2] ** 2
 
-    g = ps.interpolate_global(m, k, u)
+def smooth(p):
+    return (p[:, 0] * p[:, 1] + p[:, -1] / (1.0 + p[:, 0])
+            - 0.3 * p[:, -1] ** 2)
+
+
+# the 3D cases keep their ids, k alone
+NODE_CASES = (
+    [pytest.param(3, "facesplit(0.05)", 2, k, id=str(k)) for k in (1, 2, 3)]
+    + [pytest.param(2, family, 4, k, id=f"{family}-{k}")
+       for family in ("smalledge(0.1)", "distorted(3)", "hanging")
+       for k in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("dim,family,n,k", NODE_CASES)
+def test_interpolant_node_dofs_are_exact_point_values_3d(dim, family, n, k):
+    # every node value is func at the mesh node, lo + t (hi - lo), bit
+    # for bit, however many cells and faces share the node
+    m, dofmap, elements = built(dim, family, n, k)
+    g = ps.interpolate_global(m, k, smooth, elements, dofmap)
     v = m.vertices
     lo, hi = v[m.edges[:, 0]], v[m.edges[:, 1]]
     ts = pb.edge_interior_nodes(k)
     nodes = lo[:, None] + ts[None, :, None] * (hi - lo)[:, None]
     nv, n_nodes = m.n_vertices, m.n_edges * (k - 1)
-    assert np.array_equal(g[:nv], u(v))
-    assert np.array_equal(g[nv:nv + n_nodes], u(nodes.reshape(-1, 3)))
+    assert np.array_equal(g[:nv], smooth(v))
+    assert np.array_equal(g[nv:nv + n_nodes], smooth(nodes.reshape(-1, dim)))
+    assert np.array_equal(g[:nv + n_nodes], smooth(dofmap.node_points))
+
+
+INTERP_CASES = (
+    [(2, family, 4, k)
+     for family in ("smalledge(0.1)", "distorted(3)", "hanging", "uniform")
+     for k in (1, 2, 3, 4)]
+    + [(3, family, n, k) for family in ("uniform", "facesplit(0.05)")
+       for n in (1, 2) for k in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("dim,family,n,k", INTERP_CASES)
+def test_interpolant_equals_cell_by_cell_reference(dim, family, n, k):
+    m, dofmap, elements = built(dim, family, n, k)
+    n_nodes = len(dofmap.node_points)
+    for func in (smooth, st.get_case("sine", dim).u,
+                 st.get_case("patch", dim, k).u):
+        got = ps.interpolate_global(m, k, func, elements, dofmap)
+        want = dense_oracle.interpolate_by_cell(
+            m, k, func, elements, dofmap, pb.edge_interior_nodes(k))
+        assert np.array_equal(got[n_nodes:], want[n_nodes:])
+        assert (np.abs(got[:n_nodes] - want[:n_nodes]).max()
+                <= 1e-15 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("dim,family,n", [(2, "distorted(3)", 4),
+                                          (3, "facesplit(0.05)", 2)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_interpolant_calls_func_once_per_polygon_and_cell(dim, family, n, k):
+    # one call for all node values, then one per polygon and cell moment
+    # set: the cells in 2D, the faces and the cells in 3D
+    m, dofmap, elements = built(dim, family, n, k)
+    calls = []
+
+    def func(p):
+        calls.append(len(p))
+        return smooth(p)
+
+    ps.interpolate_global(m, k, func, elements, dofmap)
+    polygons = m.n_cells if dim == 2 else m.n_faces + m.n_cells
+    assert len(calls) == (1 if k == 1 else 1 + polygons)
+    assert calls[0] == len(dofmap.node_points)
 
 
 def test_homogeneous_solve_positive_interior():
