@@ -12,7 +12,7 @@ import numpy as np
 from . import polybasis as pb
 from .element2d import (DofLayout, Element2D, _local_load, _local_stiffness,
                         _solve_projectors)
-from .mesh import cell_geometry
+from .mesh import star_fan
 
 
 class FaceData:
@@ -61,7 +61,7 @@ class Element3D:
             for fid, _ in mesh.cells[cell_id]]
         self._faces = [cache[fid] for fid, _ in mesh.cells[cell_id]]
         self._signs = [sign for _, sign in mesh.cells[cell_id]]
-        self.geometry = cell_geometry(mesh, cell_id)
+        self.geometry, self._fan, self._fan_jac = star_fan(mesh, cell_id)
         self.basis = pb.ScaledMonomialBasis(
             3, k, self.geometry.centroid, self.geometry.h)
 
@@ -78,13 +78,12 @@ class Element3D:
     def volume_quadrature(self, degree):
         """A quadrature rule over the cell, exact to the degree.
 
-        The Duffy rule is mapped onto each tetrahedron of the cell's star
-        fan, the same fan its volume and centroid come from.
+        The collapsed Gauss-Jacobi simplex rule is mapped onto each
+        tetrahedron of the cell's star fan, the fan its volume and
+        centroid come from, built once with the element.
         """
-        star = self.geometry.star_center
-        tets, _ = self.mesh._fan_tetrahedra(self.cell_id, star)
-        E = tets[:, 1:] - star
-        return pb._fan_quadrature(star, E, np.abs(np.linalg.det(E)), degree)
+        return pb._fan_quadrature(self.geometry.star_center, self._fan,
+                                  self._fan_jac, degree)
 
     # -- dof matrix and projectors --------------------------------------------
 

@@ -369,23 +369,32 @@ def _kernel_halfspaces(mesh, i):
 
 
 def cell_geometry(mesh, i):
-    """CellGeometry of one cell, in either dimension.
+    """CellGeometry of one cell, in either dimension (see star_fan for a
+    polyhedron's)."""
+    if mesh.dim == 2:
+        return polygon_geometry(mesh.cell_points(i))
+    return star_fan(mesh, i)[0]
 
-    A polyhedron's star point is its vertex average when that sees every
-    face from inside, otherwise the Chebyshev center of its kernel; its
-    volume and centroid come from the star fan on that point. Raises
-    KernelEmpty when the kernel has no interior point.
+
+def star_fan(mesh, i):
+    """CellGeometry of polyhedron i with its star fan: per fan tet the
+    edges E[t, j] = (tet vertex j + 1) - star, and |det E[t]|.
+
+    The star point is the vertex average when that sees every face from
+    inside, otherwise the Chebyshev center of the kernel; the volume and
+    centroid come from the fan on that point. Raises KernelEmpty when the
+    kernel has no interior point.
     """
     pts = mesh.cell_points(i)
-    if mesh.dim == 2:
-        return polygon_geometry(pts)
     star = _star_point(pts.mean(axis=0), *_kernel_halfspaces(mesh, i),
                        f"cell {i}")
     tets, signs = mesh._fan_tetrahedra(i, star)
-    vols = signs * np.linalg.det(tets[:, 1:] - star) / 6.0
+    E = tets[:, 1:] - star
+    det = np.linalg.det(E)
+    vols = signs * det / 6.0
     vol = vols.sum()
     centroid = vols @ tets.mean(axis=1) / vol
-    return CellGeometry(_diameter(pts), vol, centroid, star)
+    return CellGeometry(_diameter(pts), vol, centroid, star), E, np.abs(det)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The basis functions are m_alpha(x) = ((x - center)/scale)^alpha in graded
 ordering, so every matrix in this module is indexed consistently with
-multi_indices. Quadrature rules are built from Gauss rules on a reference
-simplex and mapped affinely onto a fan sub-triangulation. The reference
-rules are cached per argument and returned as read-only arrays, so every
-element shares one copy and none can alter it for the others.
+multi_indices. Quadrature on a polygon or polyhedron maps one collapsed
+Gauss-Jacobi rule of the reference simplex affinely onto each simplex of
+a star fan. The reference rules are cached per argument and returned as
+read-only arrays, so every element shares one copy and none can alter it
+for the others.
 """
 
 import functools
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 
 def multi_indices(dim, degree):
@@ -173,14 +175,21 @@ def simplex_rule(dim, degree):
     """Quadrature on the unit simplex {x >= 0, x_0 + ... + x_{dim-1} <= 1},
     exact to the degree.
 
-    Tensor Gauss under the Duffy map x_d = t_d prod_{e<d} (1 - t_e); its
-    Jacobian prod_e (1 - t_e)^(dim-1-e) raises the t_e-degree by dim-1-e,
-    covered by the point count. Cached, read-only.
+    Collapsed Gauss-Jacobi (Stroud's conical product rule): tensor points
+    under the map x_d = t_d prod_{e<d} (1 - t_e), whose Jacobian
+    prod_e (1 - t_e)^(dim-1-e) is the weight of the Gauss-Jacobi rule in
+    direction e. degree // 2 + 1 points per direction are then exact to
+    the degree, and every weight is positive. Cached, read-only.
     """
-    n = degree // 2 + 2
-    t, w = gauss_legendre(n)
-    T = np.meshgrid(*[t] * dim, indexing="ij")
-    W = np.meshgrid(*[w] * dim, indexing="ij")
+    n = degree // 2 + 1
+    ts, ws = [], []
+    for e in range(dim):
+        # Jacobi weight (1 - x)^a on [-1, 1] is 2^(a+1) (1 - t)^a dt on [0, 1]
+        z, w = scipy.special.roots_jacobi(n, dim - 1 - e, 0)
+        ts.append(0.5 * (z + 1.0))
+        ws.append(w * 2.0 ** -(dim - e))
+    T = np.meshgrid(*ts, indexing="ij")
+    W = np.meshgrid(*ws, indexing="ij")
     coords = []
     for d in range(dim):
         x = T[d]
@@ -190,8 +199,6 @@ def simplex_rule(dim, degree):
     wt = W[0]
     for d in range(1, dim):
         wt = wt * W[d]
-    for e in range(dim - 1):
-        wt = wt * (1.0 - T[e]) ** (dim - 1 - e)
     return _read_only(np.column_stack(coords)), _read_only(wt.ravel())
 
 

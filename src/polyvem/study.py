@@ -50,11 +50,12 @@ def _sine_case(dim):
         p = np.atleast_2d(p)
         s = np.sin(pi * p)
         c = np.cos(pi * p)
-        g = np.empty_like(p)
-        for d in range(dim):
-            others = np.prod(np.delete(s, d, axis=1), axis=1)
-            g[:, d] = pi * c[:, d] * others
-        return g
+        # the product of the sines other than s[:, d]: the product of
+        # those before d times the product of those after d
+        ones = np.ones((len(p), 1))
+        before = np.cumprod(np.hstack([ones, s[:, :-1]]), axis=1)
+        after = np.cumprod(np.hstack([ones, s[:, :0:-1]]), axis=1)[:, ::-1]
+        return pi * c * (before * after)
 
     def f(p):
         return dim * pi**2 * u(p)

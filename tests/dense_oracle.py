@@ -39,6 +39,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import scipy.special
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -170,31 +171,39 @@ def normal_derivative_trace_matrix(basis, p0, p1, normal):
 # simplex rules, the polygon fan and the cube face split, written out
 
 
-def _gauss01(n):
-    t, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (t + 1.0), 0.5 * w
+def _gauss_jacobi01(n, a):
+    """n-point Gauss rule on [0, 1] for the weight (1 - t)^a."""
+    x, w = scipy.special.roots_jacobi(n, a, 0)
+    return 0.5 * (x + 1.0), w * 2.0 ** -(a + 1)
 
 
 def triangle_rule(degree):
-    """Duffy rule on the triangle (0,0),(1,0),(0,1): x=u, y=v(1-u)."""
-    t, w = _gauss01(degree // 2 + 2)
-    U, V = np.meshgrid(t, t, indexing="ij")
-    WU, WV = np.meshgrid(w, w, indexing="ij")
+    """Collapsed Gauss-Jacobi rule on the triangle (0,0),(1,0),(0,1):
+    x=u, y=v(1-u), the Jacobian (1-u) carried by the u-weights."""
+    n = degree // 2 + 1
+    tu, wu = _gauss_jacobi01(n, 1)
+    tv, wv = _gauss_jacobi01(n, 0)
+    U, V = np.meshgrid(tu, tv, indexing="ij")
+    WU, WV = np.meshgrid(wu, wv, indexing="ij")
     x = U.ravel()
     y = (V * (1.0 - U)).ravel()
-    wt = (WU * WV * (1.0 - U)).ravel()
+    wt = (WU * WV).ravel()
     return np.column_stack([x, y]), wt
 
 
 def tetrahedron_rule(degree):
-    """Duffy rule on the unit tetrahedron."""
-    t, w = _gauss01(degree // 2 + 2)
-    U, V, W = np.meshgrid(t, t, t, indexing="ij")
-    WU, WV, WW = np.meshgrid(w, w, w, indexing="ij")
+    """Collapsed Gauss-Jacobi rule on the unit tetrahedron: the Jacobian
+    (1-u)^2 (1-v) carried by the u- and v-weights."""
+    n = degree // 2 + 1
+    tu, wu = _gauss_jacobi01(n, 2)
+    tv, wv = _gauss_jacobi01(n, 1)
+    tw, ww = _gauss_jacobi01(n, 0)
+    U, V, W = np.meshgrid(tu, tv, tw, indexing="ij")
+    WU, WV, WW = np.meshgrid(wu, wv, ww, indexing="ij")
     x = U.ravel()
     y = (V * (1.0 - U)).ravel()
     z = (W * (1.0 - U) * (1.0 - V)).ravel()
-    wt = (WU * WV * WW * (1.0 - U) ** 2 * (1.0 - V)).ravel()
+    wt = (WU * WV * WW).ravel()
     return np.column_stack([x, y, z]), wt
 
 

@@ -65,6 +65,20 @@ def test_case_gradient_matches_fd(name, dim, k):
         assert np.max(np.abs(g[:, d] - fd)) <= 1e-8 * np.max(1 + np.abs(fd))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sine_gradient_equals_per_dimension_reference_bitwise(dim):
+    # the reference builds each partial derivative from a copy of the
+    # sines without column d; the case multiplies prefix and suffix
+    # products instead, the same (at most two) factors for dim <= 3
+    pi = np.pi
+    p = np.random.default_rng(10).uniform(-0.5, 1.5, size=(200, dim))
+    s, c = np.sin(pi * p), np.cos(pi * p)
+    want = np.empty_like(p)
+    for d in range(dim):
+        want[:, d] = pi * c[:, d] * np.prod(np.delete(s, d, axis=1), axis=1)
+    assert np.array_equal(st.get_case("sine", dim).grad(p), want)
+
+
 @pytest.mark.parametrize("name,dim", [("sine", 2), ("sine", 3), ("corner", 2)])
 def test_case_vanishes_on_boundary(name, dim):
     case = st.get_case(name, dim)
