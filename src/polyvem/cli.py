@@ -14,6 +14,7 @@ import sys
 from .mesh import (MeshError, generate_cube_mesh, generate_square_mesh,
                    load_mesh, save_mesh)
 from .study import StudyConfig, run_study
+from .system import NotConverged
 
 
 def _mesh_gen(args):
@@ -48,10 +49,15 @@ def _study_run(args):
     if args.config:
         try:
             with open(args.config) as fh:
-                settings.update(json.load(fh))
+                loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"bad config file: {exc}", file=sys.stderr)
             return 1
+        if not isinstance(loaded, dict):
+            print("bad config file: the top level must be a JSON object, "
+                  f"not {type(loaded).__name__}", file=sys.stderr)
+            return 1
+        settings.update(loaded)
     # explicit flags override config-file values
     for field in dataclasses.fields(StudyConfig):
         value = getattr(args, field.name)
@@ -69,7 +75,7 @@ def _study_run(args):
                                   if tok.strip()]
         config = StudyConfig(**settings)
         report = run_study(config)
-    except (MeshError, ValueError, OSError) as exc:
+    except (MeshError, NotConverged, ValueError, OSError) as exc:
         print(f"study failed: {exc}", file=sys.stderr)
         return 1
     for key, slope in report["slopes"].items():

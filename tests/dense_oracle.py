@@ -31,6 +31,11 @@ moments of each of its faces) into the cells' global dofs. The package
 fills each global dof once; its moment entries must equal these bit for
 bit, and its node entries may differ only by the rounding of the points.
 
+It also keeps the projected error norms summed one cell and one projector
+at a time, from the basis gradients at every quadrature point. The package
+takes the gradients of both projections from the derivative maps in one
+product per cell; its norms must equal these to roundoff.
+
 Run as a script to (re)generate tests/fixtures/klocal_unit_square_k1_*.json.
 """
 
@@ -501,6 +506,32 @@ def interpolate_by_cell(mesh, k, func, elements, dofmap, interior_ts):
                     fel, lambda q2: func(frame.to3d(q2)))
         x[dofmap.cell_dofs(i)] = dofs
     return x
+
+
+# ---------------------------------------------------------------------------
+# the projected error norms, one projector at a time
+
+
+def errors_by_cell(system, x_full, case, degree):
+    """The L2 and H1 errors of both projections of x_full against case,
+    with basis gradients and one einsum per cell and projector."""
+    acc = {"h1_pinabla": 0.0, "h1_pizero": 0.0,
+           "l2_pinabla": 0.0, "l2_pizero": 0.0}
+    for i, el in enumerate(system.elements):
+        dofs = x_full[system.dofmap.cell_dofs(i)]
+        qp, qw = el.volume_quadrature(degree)
+        vals = el.basis.eval(qp)
+        grads = el.basis.grad(qp)
+        uex = np.asarray(case.u(qp))
+        gex = np.asarray(case.grad(qp))
+        for proj, tag in ((el.pi_nabla_star, "pinabla"),
+                          (el.pi_zero, "pizero")):
+            c = proj @ dofs
+            du = vals @ c - uex
+            acc["l2_" + tag] += float(qw @ du**2)
+            dg = np.einsum("qnd,n->qd", grads, c) - gex
+            acc["h1_" + tag] += float(qw @ np.einsum("qd,qd->q", dg, dg))
+    return {key: math.sqrt(max(val, 0.0)) for key, val in acc.items()}
 
 
 def main():

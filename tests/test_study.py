@@ -176,6 +176,45 @@ def test_linf_edges_equals_edge_loop_bitwise(dim, family):
                 assert got == want
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("dim,family",
+                         [(2, "uniform"), (2, "smalledge(0.1)"),
+                          (2, "distorted(3)"), (2, "hanging"),
+                          (3, "uniform"), (3, "facesplit(0.05)")])
+def test_error_norms_equal_gradient_loop(monkeypatch, dim, family, k):
+    # random dofs make every error O(1), so the relative tolerance
+    # measures the sums, not cancellation near zero
+    mesh = (pm.generate_square_mesh(4, family) if dim == 2
+            else pm.generate_cube_mesh(2, family))
+    sys_ = ps.assemble(mesh, k, None)
+    x = np.random.default_rng(k).standard_normal(sys_.dofmap.n_total)
+
+    def no_grad(self, pts):
+        raise AssertionError("compute_errors evaluated basis gradients")
+
+    for case in (st.get_case("sine", dim), st.get_case("patch", dim, k)):
+        want = dense_oracle.errors_by_cell(sys_, x, case, 2 * k + 4)
+        g = interpolant(mesh, sys_, case)
+        with monkeypatch.context() as m:
+            m.setattr(pb.ScaledMonomialBasis, "grad", no_grad)
+            got = st.compute_errors(mesh, k, sys_, x, case, g)
+        for key, value in want.items():
+            assert math.isclose(got[key], value, rel_tol=1e-12), key
+
+
+@pytest.mark.parametrize("dim,family,k", [(2, "distorted(3)", 2),
+                                          (3, "facesplit(0.05)", 1)])
+def test_error_norms_without_interpolant_equal_with_it(dim, family, k):
+    mesh = (pm.generate_square_mesh(3, family) if dim == 2
+            else pm.generate_cube_mesh(2, family))
+    case = st.get_case("sine", dim)
+    sys_ = ps.assemble(mesh, k, None, f=case.f)
+    x, _ = sys_.solve()
+    given = st.compute_errors(mesh, k, sys_, x, case,
+                              interpolant(mesh, sys_, case))
+    assert st.compute_errors(mesh, k, sys_, x, case) == given
+
+
 def test_energy_error_identity():
     mesh, sys_, x, case = solve_sine(4, 2)
     g = interpolant(mesh, sys_, case)
@@ -375,6 +414,19 @@ def test_cli_study_bad_levels_exit_code(tmp_path, capsys):
     assert "study failed:" in capsys.readouterr().err
 
 
+def test_cli_study_solver_failure_exit_code(monkeypatch, capsys):
+    import polyvem.cli
+
+    def not_converged(config):
+        raise ps.NotConverged("direct solve left relative residual 1e-06")
+
+    monkeypatch.setattr(polyvem.cli, "run_study", not_converged)
+    rc = polyvem.cli.main(["study", "run", "--levels", "2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "study failed:" in err and "relative residual" in err
+
+
 def test_cli_study_unwritable_out_exit_code(tmp_path, capsys):
     from polyvem.cli import main
 
@@ -405,3 +457,13 @@ def test_bad_study_config_rejected(tmp_path, capsys, bad):
     assert main(["study", "run", "--config", str(cfg_path)]) == 1
     assert "study failed:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("top", [[1, 2], "study", 3, None])
+def test_config_file_not_an_object_rejected(tmp_path, capsys, top):
+    from polyvem.cli import main
+
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps(top))
+    assert main(["study", "run", "--config", str(cfg_path)]) == 1
+    assert "bad config file:" in capsys.readouterr().err
