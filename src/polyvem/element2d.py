@@ -11,7 +11,6 @@ import numpy as np
 import scipy.linalg
 
 from . import polybasis as pb
-from .mesh import MeshError, polygon_geometry
 
 
 class DofLayout:
@@ -118,51 +117,38 @@ def _moments(el, func):
 
 
 class Element2D:
-    """Degree-k virtual element on a star-shaped polygon."""
+    """Degree-k virtual element on a star-shaped polygon, built from the
+    polygon's record (mesh.polygon_geometry): its geometry, vertices and
+    edge table."""
 
-    def __init__(self, points, k):
+    def __init__(self, polygon, k):
         if k < 1:
             raise ValueError("polynomial degree must be at least 1")
         self.k = k
-        self.points = np.asarray(points, dtype=float)
-        nv = len(self.points)
-        self.geometry = polygon_geometry(self.points)
-        self.basis = pb.ScaledMonomialBasis(
-            2, k, self.geometry.centroid, self.geometry.h)
+        self.geometry = polygon
+        self.basis = pb.ScaledMonomialBasis(2, k, polygon.centroid, polygon.h)
+        nv = len(polygon.points)
         self.layout = DofLayout(nv * k, pb.n_poly(2, k - 2))
 
-        self._build_edges()
+        # per segment p -> q: its local dofs p, the k-1 nodes from p to q, q
+        ids = np.arange(nv)
+        self._edge_dofs = np.column_stack(
+            [ids, nv + (k - 1) * ids[:, None] + np.arange(k - 1),
+             np.roll(ids, -1)])
+        self._node_points = np.concatenate(
+            [polygon.points, pb._segment_points(
+                polygon.points, polygon.tangents, pb.edge_interior_nodes(k))])
         self._qp, self._qw = self.volume_quadrature(2 * k)
         self.H = pb.mass_matrix(self.basis, self._qp, self._qw)
         self.Gt = pb.stiffness_from_mass(self.basis, self.H)
         self._build_d_mat()
         self._build_projectors()
 
-    # -- geometry of the boundary ------------------------------------------
-
-    def _build_edges(self):
-        """The edge table: per segment p -> q of the loop its tangent
-        q - p, length, outward unit normal and local dofs (p, the k-1
-        nodes from p to q, q)."""
-        k, pts = self.k, self.points
-        tang = np.roll(pts, -1, axis=0) - pts
-        # a row-by-row dot, which np.linalg.norm(axis=1) does not round like
-        lengths = np.sqrt((tang[:, None, :] @ tang[:, :, None]).ravel())
-        if not np.all(lengths > 0.0):
-            raise MeshError("polygon has a zero-length edge")
-        self._tangents, self._edge_lengths = tang, lengths
-        self._edge_normals = np.column_stack(
-            [tang[:, 1], -tang[:, 0]]) / lengths[:, None]
-        ids = np.arange(len(pts))
-        self._edge_dofs = np.column_stack(
-            [ids, len(pts) + (k - 1) * ids[:, None] + np.arange(k - 1),
-             np.roll(ids, -1)])
-        self._node_points = np.concatenate(
-            [pts, pb._segment_points(pts, tang, pb.edge_interior_nodes(k))])
+    # -- geometry ----------------------------------------------------------
 
     def volume_quadrature(self, degree):
         """A quadrature rule over the polygon, exact to the degree."""
-        return pb.polygon_quadrature(self.points,
+        return pb.polygon_quadrature(self.geometry.points,
                                      self.geometry.star_center, degree)
 
     # -- dof matrix and projectors -----------------------------------------
@@ -174,15 +160,15 @@ class Element2D:
                                 self.H[:nm, :] / area])
 
     def _build_projectors(self):
-        k, n, nv = self.k, self.basis.n, len(self.points)
-        lengths, dofs = self._edge_lengths, self._edge_dofs
+        k, n, poly = self.k, self.basis.n, self.geometry
+        nv, lengths, dofs = len(poly.points), poly.lengths, self._edge_dofs
         tg, wg = pb.gauss_legendre(k + 2)
         lag, _ = pb.edge_gauss_lagrange(k)
         # traces of the monomials and of their normal derivatives, taken
         # directly at the Gauss points of every edge, as (nv, ng, n)
-        pts = pb._segment_points(self.points, self._tangents, tg)
+        pts = pb._segment_points(poly.points, poly.tangents, tg)
         grads = self.basis.grad(pts).reshape(nv, len(tg), n, 2)
-        normal_der = (grads @ self._edge_normals[:, None, :, None])[..., 0]
+        normal_der = (grads @ poly.normals[:, None, :, None])[..., 0]
         traces = self.basis.eval(pts).reshape(nv, len(tg), n)
 
         B = np.zeros((n, self.layout.n_total))
@@ -217,8 +203,9 @@ class Element2D:
         _, wg = pb.gauss_legendre(self.k + 2)
         _, dlag = pb.edge_gauss_lagrange(self.k)
         local = (dlag.T * wg) @ dlag
-        weight = (self.geometry.h / self._edge_lengths if kind == "s2"
-                  else np.ones(len(self.points)))
+        lengths = self.geometry.lengths
+        weight = (self.geometry.h / lengths if kind == "s2"
+                  else np.ones(len(lengths)))
         dofs = self._edge_dofs
         np.add.at(S, (dofs[:, :, None], dofs[:, None, :]),
                   weight[:, None, None] * local)
@@ -250,7 +237,7 @@ class Element2D:
         powers = tg[:, None] ** np.arange(k)
         traces = (lag @ v[self._edge_dofs][:, :, None])[..., 0]
         r = powers.T @ (wg * traces)[:, :, None]
-        edge_total = (self._edge_lengths
+        edge_total = (self.geometry.lengths
                       * (r.transpose(0, 2, 1) @ np.linalg.solve(gram, r))
                       .ravel()).sum()
         total += self.geometry.h * edge_total

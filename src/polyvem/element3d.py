@@ -1,54 +1,32 @@
 """Local virtual element operators on a single polyhedron.
 
-Every face carries a 2D virtual element built once in an isometric chart
-of its plane; those face elements supply the boundary integrals of the 3D
-projectors, so face traces are never evaluated away from their dofs. The
-cell dofs are vertex values, Lobatto edge values, face moments against the
-face's own scaled monomials, and interior cell moments.
+Every face carries a 2D virtual element, built once per mesh from the
+face's polygon record in its isometric chart (mesh.face_chart); those face
+elements supply the boundary integrals of the 3D projectors, so face traces
+are never evaluated away from their dofs. The cell dofs are vertex values,
+Lobatto edge values, face moments against the face's own scaled monomials,
+and interior cell moments.
 """
 
 import numpy as np
 
 from . import polybasis as pb
-from .element2d import (DofLayout, Element2D, _local_load, _local_stiffness,
+from .element2d import (DofLayout, _local_load, _local_stiffness,
                         _solve_projectors)
 from .mesh import star_fan
-
-
-class FaceData:
-    """A mesh face with its chart and its 2D virtual element."""
-
-    def __init__(self, face_id, frame, element):
-        self.face_id = face_id
-        self.frame = frame
-        self.element = element
-
-
-def build_face_cache(mesh, k):
-    """The FaceData of every mesh face, indexable by face id.
-
-    Building the cache once per mesh lets neighboring cells share the
-    same face elements and face moment functionals.
-    """
-    cache = []
-    for fid in range(mesh.n_faces):
-        frame, _ = mesh.face_chart(fid)
-        pts2 = frame.to2d(mesh.face_points(fid))
-        cache.append(FaceData(fid, frame, Element2D(pts2, k)))
-    return cache
 
 
 class Element3D:
     """Degree-k virtual element on a star-shaped polyhedron.
 
-    Its local dofs are dofmap.cell_dofs(cell_id), in that order; a face's
-    dofs sit at face_dofs[lf] within them, in its face element's order.
+    faces holds the 2D element of every mesh face, by face id, so that
+    neighboring cells share them. Its local dofs are
+    dofmap.cell_dofs(cell_id), in that order; a face's dofs sit at
+    face_dofs[lf] within them, in its face element's order.
     """
 
-    def __init__(self, dofmap, cell_id, cache):
+    def __init__(self, dofmap, cell_id, faces):
         mesh, k = dofmap.mesh, dofmap.k
-        if k < 1:
-            raise ValueError("polynomial degree must be at least 1")
         self.k = k
         self.mesh = mesh
         self.cell_id = cell_id
@@ -59,8 +37,7 @@ class Element3D:
         self.face_dofs = [
             order[np.searchsorted(dofs, dofmap.face_dofs(fid), sorter=order)]
             for fid, _ in mesh.cells[cell_id]]
-        self._faces = [cache[fid] for fid, _ in mesh.cells[cell_id]]
-        self._signs = [sign for _, sign in mesh.cells[cell_id]]
+        self._faces = [faces[fid] for fid, _ in mesh.cells[cell_id]]
         self.geometry, self._fan, self._fan_jac = star_fan(mesh, cell_id)
         self.basis = pb.ScaledMonomialBasis(
             3, k, self.geometry.centroid, self.geometry.h)
@@ -105,13 +82,13 @@ class Element3D:
         bnd_mean_mono = np.zeros(n)
         total_area = 0.0
         maps = self.basis.derivative_maps()
-        for lf, face in enumerate(self._faces):
-            fel = face.element
-            vals3 = self.basis.eval(face.frame.to3d(fel._qp))
+        for lf, (fid, sign) in enumerate(self.mesh.cells[self.cell_id]):
+            fel, frame = self._faces[lf], self.mesh.face_chart(fid)[0]
+            vals3 = self.basis.eval(frame.to3d(fel._qp))
             T = (vals3.T * fel._qw) @ fel.basis.eval(fel._qp)
             area = fel.geometry.measure
             rows.append(T[:, :nmf].T / area)
-            normal = self._signs[lf] * face.frame.normal
+            normal = sign * frame.normal
             ND = sum(normal[d] * maps[d] for d in range(3))
             idx = self.face_dofs[lf]
             B[:, idx] += (ND @ T) @ fel.pi_zero
@@ -137,15 +114,14 @@ class Element3D:
         lay = self.layout
         S = np.zeros((lay.n_total, lay.n_total))
         nmf = pb.n_poly(2, self.k - 2)
-        for lf, face in enumerate(self._faces):
-            idx = self.face_dofs[lf]
-            nbf = face.element.layout.n_boundary
+        for idx, fel in zip(self.face_dofs, self._faces):
+            nbf = fel.layout.n_boundary
             nodes = idx[:nbf]
             S[nodes, nodes] += 1.0
             if nmf:
-                hf = face.element.geometry.h
-                area = face.element.geometry.measure
-                HjF = face.element.H[:nmf, :nmf]
+                hf = fel.geometry.h
+                area = fel.geometry.measure
+                HjF = fel.H[:nmf, :nmf]
                 form = area ** 2 * np.linalg.inv(HjF)
                 mom = idx[nbf:]
                 S[np.ix_(mom, mom)] += form / hf ** 2

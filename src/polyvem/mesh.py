@@ -37,6 +37,17 @@ class CellGeometry:
         self.star_center = star_center
 
 
+class PolygonGeometry(CellGeometry):
+    """The record of a polygon, a 2D cell or a 3D face in its chart: its
+    CellGeometry, its vertices, and its edge table (per segment p -> q of
+    the loop: the tangent q - p, its length and the outward unit normal)."""
+
+    def __init__(self, points, edges, h, measure, centroid, star_center):
+        super().__init__(h, measure, centroid, star_center)
+        self.points = points
+        self.tangents, self.lengths, self.normals = edges
+
+
 def _diameter(points):
     d = points[:, None, :] - points[None, :, :]
     return math.sqrt(np.max(np.einsum("ijk,ijk->ij", d, d)))
@@ -46,15 +57,16 @@ def _has_zero_edge(points):
     return np.any(np.all(points == np.roll(points, -1, axis=0), axis=1))
 
 
-def _edge_outward_normals(points):
-    """Unit outward normals and anchor points of a CCW polygon's edges."""
-    rolled = np.roll(points, -1, axis=0)
-    tang = rolled - points
-    lengths = np.linalg.norm(tang, axis=1)
-    keep = lengths > 0
-    normals = np.column_stack([tang[keep, 1], -tang[keep, 0]])
-    normals /= lengths[keep, None]
-    return normals, points[keep]
+def _edge_table(points):
+    """Tangents q - p, lengths and unit outward normals of the segments
+    p -> q of a CCW polygon loop."""
+    tang = np.roll(points, -1, axis=0) - points
+    # a row-by-row dot, which np.linalg.norm(axis=1) does not round like
+    lengths = np.sqrt((tang[:, None, :] @ tang[:, :, None]).ravel())
+    if not np.all(lengths > 0.0):
+        raise MeshError("polygon has a zero-length edge")
+    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
+    return tang, lengths, normals
 
 
 def _chebyshev_center(normals, anchors, dim):
@@ -88,11 +100,12 @@ def _star_point(candidate, normals, anchors, h, what):
 
 
 def polygon_geometry(points):
-    """Geometry of a simple CCW polygon given as an (m, 2) vertex array.
+    """The PolygonGeometry of a simple CCW polygon, an (m, 2) vertex array.
 
     The star point is the centroid when the centroid sees every edge from
     inside; otherwise it is the Chebyshev center of the polygon's kernel.
-    Raises KernelEmpty when the kernel has no interior point.
+    Raises MeshError on a zero-length edge and KernelEmpty when the kernel
+    has no interior point.
     """
     points = np.asarray(points, dtype=float)
     x, y = points[:, 0], points[:, 1]
@@ -104,9 +117,9 @@ def polygon_geometry(points):
     centroid = np.array([np.sum((x + xr) * cross),
                          np.sum((y + yr) * cross)]) / (6.0 * area)
     h = _diameter(points)
-    normals, anchors = _edge_outward_normals(points)
-    star = _star_point(centroid, normals, anchors, h, "polygon")
-    return CellGeometry(h, area, centroid, star)
+    edges = _edge_table(points)
+    star = _star_point(centroid, edges[2], points, h, "polygon")
+    return PolygonGeometry(points, edges, h, area, centroid, star)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +284,11 @@ class PolyhedralMesh3:
         return self.vertices[self.faces[fid]]
 
     def face_chart(self, fid):
-        """(FaceFrame, CellGeometry in that frame) of a face.
+        """(FaceFrame, PolygonGeometry in that frame) of a face.
 
-        Built on first use and kept, so the cells sharing a face read one
-        chart; being lazy, it lets validate's ordered checks come first.
+        Built on first use and kept, so the cells sharing a face and its
+        face element read one chart; being lazy, it lets validate's
+        ordered checks come first.
         """
         chart = self._charts.get(fid)
         if chart is None:
@@ -360,7 +374,7 @@ def _kernel_halfspaces(mesh, i):
     whose half-spaces n.(x-a) <= 0 cut out its kernel, and its diameter."""
     pts = mesh.cell_points(i)
     if mesh.dim == 2:
-        normals, anchors = _edge_outward_normals(pts)
+        normals, anchors = _edge_table(pts)[2], pts
     else:
         data = mesh._oriented_face_data(i)
         normals = np.array([sign * frame.normal for _, frame, _, sign in data])
@@ -369,8 +383,8 @@ def _kernel_halfspaces(mesh, i):
 
 
 def cell_geometry(mesh, i):
-    """CellGeometry of one cell, in either dimension (see star_fan for a
-    polyhedron's)."""
+    """CellGeometry of one cell, in either dimension: a polygon's record
+    in 2D (see star_fan for a polyhedron's)."""
     if mesh.dim == 2:
         return polygon_geometry(mesh.cell_points(i))
     return star_fan(mesh, i)[0]
@@ -423,12 +437,13 @@ def quality_report(mesh):
         return np.array([lens[ids].max() / lens[ids].min()
                          for ids in loop_edge_ids])
 
-    tau = ratios(mesh.cell_edge_ids)
     rho = np.empty(mesh.n_cells)
     for i in range(mesh.n_cells):
+        # a zero-length edge raises here, before its ratio divides by 0
         normals, anchors, h = _kernel_halfspaces(mesh, i)
         _, radius = _chebyshev_center(normals, anchors, mesh.dim)
         rho[i] = radius / h
+    tau = ratios(mesh.cell_edge_ids)
     tau_face = None
     if mesh.dim == 3:
         tau_face = ratios(mesh.face_edge_ids)

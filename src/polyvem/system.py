@@ -16,7 +16,8 @@ import scipy.sparse.linalg
 
 from . import polybasis as pb
 from .element2d import Element2D, _moments
-from .element3d import Element3D, build_face_cache
+from .element3d import Element3D
+from .mesh import polygon_geometry
 
 DIRECT_SOLVER_LIMIT = 50_000
 
@@ -47,6 +48,8 @@ class GlobalDofMap:
     """
 
     def __init__(self, mesh, k):
+        if k < 1:
+            raise ValueError("polynomial degree must be at least 1")
         self.mesh = mesh
         self.k = k
         nv, ne = mesh.n_vertices, mesh.n_edges
@@ -112,13 +115,15 @@ class GlobalDofMap:
 
 
 def build_elements(dofmap):
-    """The local element of every cell, sharing one face cache in 3D."""
-    mesh = dofmap.mesh
+    """The local element of every cell; in 3D the cells share one face
+    element per mesh face, built on the face's chart."""
+    mesh, k = dofmap.mesh, dofmap.k
     if mesh.dim == 2:
-        return [Element2D(mesh.cell_points(i), dofmap.k)
+        return [Element2D(polygon_geometry(mesh.cell_points(i)), k)
                 for i in range(mesh.n_cells)]
-    cache = build_face_cache(mesh, dofmap.k)
-    return [Element3D(dofmap, i, cache) for i in range(mesh.n_cells)]
+    faces = [Element2D(mesh.face_chart(fid)[1], k)
+             for fid in range(mesh.n_faces)]
+    return [Element3D(dofmap, i, faces) for i in range(mesh.n_cells)]
 
 
 class GlobalSystem:
@@ -249,9 +254,10 @@ def interpolate_global(mesh, k, func, elements, dofmap):
     if k == 1:
         return x
     if mesh.dim == 3:
-        faces = {face.face_id: face for el in elements for face in el._faces}
-        for fid, face in faces.items():
-            fel, frame = face.element, face.frame
+        faces = {fid: fel for el in elements for (fid, _), fel
+                 in zip(mesh.cells[el.cell_id], el._faces)}
+        for fid, fel in faces.items():
+            frame = mesh.face_chart(fid)[0]
             x[dofmap.face_dofs(fid)[fel.layout.n_boundary:]] = _moments(
                 fel, lambda q2: func(frame.to3d(q2)))
     for i, el in enumerate(elements):

@@ -495,13 +495,14 @@ def interpolate_by_cell(mesh, k, func, elements, dofmap, interior_ts):
     x = np.zeros(dofmap.n_total)
     for i, el in enumerate(elements):
         if mesh.dim == 2:
-            nodes = polygon_node_points(el.points, interior_ts)
+            nodes = polygon_node_points(el.geometry.points, interior_ts)
         else:
             nodes = cell_node_points(mesh, k, i, interior_ts)
         dofs = element_interpolant(el, func, nodes)
         if mesh.dim == 3 and k > 1:
-            for pos, face in zip(el.face_dofs, el._faces):
-                fel, frame = face.element, face.frame
+            for pos, (fid, _), fel in zip(el.face_dofs, mesh.cells[i],
+                                          el._faces):
+                frame = mesh.face_chart(fid)[0]
                 dofs[pos[fel.layout.n_boundary:]] = moments(
                     fel, lambda q2: func(frame.to3d(q2)))
         x[dofmap.cell_dofs(i)] = dofs

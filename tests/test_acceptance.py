@@ -111,7 +111,7 @@ def test_acceptance_2_projector_identities():
         k = 1 + i % 4
         small = 1e-6 if i % 4 == 3 else None
         pts = random_star_polygon(rng, small_edge=small)
-        el = Element2D(pts, k)
+        el = Element2D(pm.polygon_geometry(pts), k)
         nd = el.d_mat.shape[0]
         # energy projection reproduces polynomials; the identity is evaluated
         # in double precision from the stored coefficient matrices, so its
@@ -251,7 +251,7 @@ def test_acceptance_8_solver_and_kernels(uniform_reports_2d,
     rng = np.random.default_rng(55)
     for i in range(50):
         k = 1 + i % 4
-        el = Element2D(random_star_polygon(rng), k)
+        el = Element2D(pm.polygon_geometry(random_star_polygon(rng)), k)
         K = el.local_stiffness("s2")
         w = np.linalg.eigvalsh(K)
         assert np.sum(w < 1e-12 * np.trace(K)) == 1
@@ -266,5 +266,5 @@ def test_acceptance_9_oracle_fixtures(stab):
     data = json.loads((FIXTURES / f"klocal_unit_square_k1_{stab}.json").read_text())
     expected = np.array(data["matrix"])
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    K = Element2D(square, 1).local_stiffness(stab)
+    K = Element2D(pm.polygon_geometry(square), 1).local_stiffness(stab)
     assert np.max(np.abs(K - expected)) <= 1e-12

@@ -9,7 +9,8 @@ import dense_oracle
 from conftest import integrate_monomial_over_box
 from polyvem import mesh as pm
 from polyvem import polybasis as pb
-from polyvem.element3d import Element3D, build_face_cache
+from polyvem.element2d import Element2D
+from polyvem.element3d import Element3D
 from polyvem.system import GlobalDofMap, build_elements, interpolate_global
 
 
@@ -17,10 +18,16 @@ def cube_mesh(family="uniform"):
     return pm.generate_cube_mesh(1, family)
 
 
-def make_element(mesh, cell_id, k, cache=None):
-    if cache is None:
-        cache = build_face_cache(mesh, k)
-    return Element3D(GlobalDofMap(mesh, k), cell_id, cache)
+def face_elements(mesh, k):
+    """The 2D element of every mesh face, by face id."""
+    return [Element2D(mesh.face_chart(fid)[1], k)
+            for fid in range(mesh.n_faces)]
+
+
+def make_element(mesh, cell_id, k, faces=None):
+    if faces is None:
+        faces = face_elements(mesh, k)
+    return Element3D(GlobalDofMap(mesh, k), cell_id, faces)
 
 
 def interpolate(el, func):
@@ -39,27 +46,27 @@ def interpolate(el, func):
 @pytest.mark.parametrize("family", ["uniform", "facesplit(0.25)"])
 def test_face_frame_isometry(family):
     mesh = cube_mesh(family)
-    cache = build_face_cache(mesh, 1)
-    for face in cache:
-        pts3 = mesh.vertices[mesh.faces[face.face_id]]
-        pts2 = face.frame.to2d(pts3)
+    faces = face_elements(mesh, 1)
+    for fid, fel in enumerate(faces):
+        frame = mesh.face_chart(fid)[0]
+        pts3 = mesh.vertices[mesh.faces[fid]]
+        pts2 = frame.to2d(pts3)
         d3 = np.linalg.norm(pts3[:, None, :] - pts3[None, :, :], axis=2)
         d2 = np.linalg.norm(pts2[:, None, :] - pts2[None, :, :], axis=2)
         assert np.max(np.abs(d3 - d2)) <= 1e-13
-        back = face.frame.to3d(pts2)
+        back = frame.to3d(pts2)
         assert np.max(np.abs(back - pts3)) <= 1e-13
         # in-frame loop is counterclockwise and the 2D element sees exact area
         x, y = pts2[:, 0], pts2[:, 1]
         area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
         assert area > 0
-        assert math.isclose(area, face.element.geometry.measure, rel_tol=1e-13)
+        assert math.isclose(area, fel.geometry.measure, rel_tol=1e-13)
 
 
 def test_face_frame_normal_unit_and_orthogonal():
     mesh = cube_mesh("uniform")
-    cache = build_face_cache(mesh, 2)
-    for face in cache:
-        f = face.frame
+    for fid in range(mesh.n_faces):
+        f = mesh.face_chart(fid)[0]
         assert math.isclose(np.linalg.norm(f.normal), 1.0, rel_tol=1e-14)
         assert abs(f.axes[0] @ f.normal) <= 1e-14
         assert abs(f.axes[1] @ f.normal) <= 1e-14
@@ -104,11 +111,11 @@ def test_dof_order_equals_reference_bitwise(family, n):
     for mesh in (stored, permuted_face_records(stored, n)):
         for k in (1, 2, 3, 4):
             dofmap = GlobalDofMap(mesh, k)
-            cache = build_face_cache(mesh, k)
+            faces = face_elements(mesh, k)
             for i in range(mesh.n_cells):
                 want = dense_oracle.cell_dofs(mesh, k, i)
                 assert np.array_equal(dofmap.cell_dofs(i), want)
-                el = Element3D(dofmap, i, cache)
+                el = Element3D(dofmap, i, faces)
                 want = dense_oracle.cell_face_dofs(mesh, k, i)
                 assert len(el.face_dofs) == len(want)
                 for got, ref in zip(el.face_dofs, want):
@@ -236,19 +243,19 @@ def test_pi_zero_reproduces_polynomials_3d(k):
 def test_face_projection_of_cell_monomials():
     mesh = cube_mesh("uniform")
     k = 2
-    cache = build_face_cache(mesh, k)
-    el = make_element(mesh, 0, k, cache)
+    faces = face_elements(mesh, k)
+    el = make_element(mesh, 0, k, faces)
     rng = np.random.default_rng(5)
     for local, (fid, _sign) in enumerate(mesh.cells[0]):
-        face = cache[fid]
+        fel, frame = faces[fid], mesh.face_chart(fid)[0]
         idx = el.face_dofs[local]
         ts = rng.uniform(-0.3, 0.3, size=(6, 2))
-        pts3 = face.frame.to3d(ts)
+        pts3 = frame.to3d(ts)
         vals3 = el.basis.eval(pts3)
         for beta in range(el.basis.n):
             fdofs = el.d_mat[idx, beta]
-            c2 = face.element.pi_zero @ fdofs
-            vals2 = face.element.basis.eval(ts) @ c2
+            c2 = fel.pi_zero @ fdofs
+            vals2 = fel.basis.eval(ts) @ c2
             assert np.allclose(vals2, vals3[:, beta], atol=1e-12)
 
 
@@ -363,13 +370,14 @@ def test_interpolation_commutes_with_face_restriction():
 
     g = interpolate_global(mesh, k, zeta, elements, dofmap)
     ts = pb.edge_interior_nodes(k)
-    for face in elements[0]._faces:
-        fel = face.element
+    for (fid, _), fel in zip(mesh.cells[0], elements[0]._faces):
+        frame = mesh.face_chart(fid)[0]
 
-        def trace(q2, face=face):
-            return zeta(face.frame.to3d(q2))
+        def trace(q2, frame=frame):
+            return zeta(frame.to3d(q2))
 
         dofs2 = dense_oracle.element_interpolant(
-            fel, trace, dense_oracle.polygon_node_points(fel.points, ts))
-        assert np.allclose(g[dofmap.face_dofs(face.face_id)], dofs2,
+            fel, trace,
+            dense_oracle.polygon_node_points(fel.geometry.points, ts))
+        assert np.allclose(g[dofmap.face_dofs(fid)], dofs2,
                            atol=1e-12)

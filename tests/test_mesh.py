@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,21 @@ def test_kernel_empty_raises():
         pm.polygon_geometry(pts)
 
 
+def test_zero_length_edge_raises_mesh_error():
+    pts = np.array([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]], float)
+    with pytest.raises(pm.MeshError, match="zero-length edge"):
+        pm.polygon_geometry(pts)
+
+
+def test_polygon_record_edge_table():
+    pts = np.array([[0, 0], [2, 0], [2, 1], [0, 1]], float)
+    g = pm.polygon_geometry(pts)
+    assert np.array_equal(g.points, pts)
+    assert np.array_equal(g.tangents, [[2, 0], [0, 1], [-2, 0], [0, -1]])
+    assert np.array_equal(g.lengths, [2, 1, 2, 1])
+    assert np.array_equal(g.normals, [[0, -1], [1, 0], [0, 1], [-1, 0]])
+
+
 def test_generated_meshes_all_star_shaped():
     for family in ("uniform", "smalledge(0.01)", "hanging", "distorted(7)"):
         m = pm.generate_square_mesh(3, family)
@@ -191,6 +207,17 @@ def test_quality_uniform_square():
     assert q.beta_h is None
     # inscribed-kernel radius of a square of side s is s/2, h = s*sqrt(2)
     assert np.allclose(q.rho, 0.5 / math.sqrt(2.0), atol=1e-9)
+
+
+def test_quality_zero_length_edge_raises_mesh_error():
+    # an unvalidated mesh with a repeated vertex: a typed error, not an
+    # infinite edge ratio from a division by zero
+    mesh = pm.PolygonalMesh2([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]],
+                             [[0, 1, 2, 3, 4]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pm.MeshError, match="zero-length edge"):
+            pm.quality_report(mesh)
 
 
 def test_quality_smalledge_tau_frozen():

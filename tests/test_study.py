@@ -330,6 +330,15 @@ def test_run_study_patch_mode(tmp_path):
             assert lv[key] <= 1e-8
 
 
+def test_run_study_patch_mode_slopes_nan(tmp_path):
+    # a slope fitted to roundoff would read like a rate
+    report = run_small_study(tmp_path, k=2, case="patch",
+                             family="distorted(1)", levels=[2, 4])
+    assert set(report["slopes"]) == set(st.ERROR_KEYS)
+    assert all(math.isnan(v) for v in report["slopes"].values())
+    assert report["passed"] and not report["rates_checked"]
+
+
 @pytest.mark.parametrize("case", ["sine", "patch"])
 def test_run_study_interpolates_once_per_level(monkeypatch, case):
     # the one interpolant of a level is the boundary data in patch mode

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import dense_oracle
+from polyvem import element2d
 from polyvem import mesh as pm
 from polyvem import polybasis as pb
 from polyvem import study as st
@@ -39,6 +40,14 @@ def test_dofmap_counts_3d():
     dm1 = ps.GlobalDofMap(m, 1)
     assert dm1.n_total == 27
     assert len(dm1.free) == 1
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_degree_below_one_rejected(dim):
+    m = (pm.generate_square_mesh(2) if dim == 2
+         else pm.generate_cube_mesh(1))
+    with pytest.raises(ValueError, match="degree must be at least 1"):
+        ps.assemble(m, 0)
 
 
 def test_dofmap_shares_edge_dofs_between_cells():
@@ -339,6 +348,35 @@ def test_interpolant_calls_func_once_per_polygon_and_cell(dim, family, n, k):
     polygons = m.n_cells if dim == 2 else m.n_faces + m.n_cells
     assert len(calls) == (1 if k == 1 else 1 + polygons)
     assert calls[0] == len(dofmap.node_points)
+
+
+@pytest.mark.parametrize("dim,family", [(2, "hanging"),
+                                        (3, "facesplit(0.25)")])
+def test_polygon_geometry_once_per_polygon(monkeypatch, dim, family):
+    # each polygon (a 2D cell, a 3D face) is described by one record,
+    # which its element takes and neighboring cells share
+    m = (pm.generate_square_mesh(3, family) if dim == 2
+         else pm.generate_cube_mesh(2, family))
+    calls = []
+    geometry = pm.polygon_geometry
+
+    def counted(points):
+        calls.append(1)
+        return geometry(points)
+
+    for holder in (pm, ps, element2d):
+        monkeypatch.setattr(holder, "polygon_geometry", counted,
+                            raising=False)
+    sys_ = ps.assemble(m, 2)
+    assert len(calls) == (m.n_cells if dim == 2 else m.n_faces)
+    if dim == 2:
+        return
+    owner = {}
+    for i, el in enumerate(sys_.elements):
+        for (fid, _), fel in zip(m.cells[i], el._faces):
+            assert fel.geometry is m.face_chart(fid)[1]
+            assert owner.setdefault(fid, fel) is fel
+    assert len(owner) == m.n_faces
 
 
 def test_homogeneous_solve_positive_interior():
