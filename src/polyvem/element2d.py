@@ -164,17 +164,19 @@ class Element2D:
         nv, lengths, dofs = len(poly.points), poly.lengths, self._edge_dofs
         tg, wg = pb.gauss_legendre(k + 2)
         lag, _ = pb.edge_gauss_lagrange(k)
-        # traces of the monomials and of their normal derivatives, taken
-        # directly at the Gauss points of every edge, as (nv, ng, n)
+        # traces of the monomials, taken directly at the Gauss points of
+        # every edge, as (nv, ng, n)
         pts = pb._segment_points(poly.points, poly.tangents, tg)
-        grads = self.basis.grad(pts).reshape(nv, len(tg), n, 2)
-        normal_der = (grads @ poly.normals[:, None, :, None])[..., 0]
         traces = self.basis.eval(pts).reshape(nv, len(tg), n)
 
+        # per edge, the integrals of the monomials against its Lagrange
+        # basis, (nv, n, k+1); the normal derivative maps n_e . D turn
+        # them into the edge's share of B
+        W = lengths[:, None, None] * (traces.transpose(0, 2, 1)
+                                      @ (wg[:, None] * lag))
+        ND = np.tensordot(poly.normals, self.basis.derivative_maps(), 1)
         B = np.zeros((n, self.layout.n_total))
-        per_edge = ((lengths[:, None, None] * normal_der.transpose(0, 2, 1))
-                    @ (wg[:, None] * lag))
-        np.add.at(B.T, dofs, per_edge.transpose(0, 2, 1))
+        np.add.at(B.T, dofs, (ND @ W).transpose(0, 2, 1))
         bnd_mean_dof = np.zeros(self.layout.n_total)
         np.add.at(bnd_mean_dof, dofs, lengths[:, None] * (wg @ lag))
         bnd_mean_mono = (lengths[:, None]

@@ -88,8 +88,7 @@ class Element3D:
             T = (vals3.T * fel._qw) @ fel.basis.eval(fel._qp)
             area = fel.geometry.measure
             rows.append(T[:, :nmf].T / area)
-            normal = sign * frame.normal
-            ND = sum(normal[d] * maps[d] for d in range(3))
+            ND = np.tensordot(sign * frame.normal, maps, 1)
             idx = self.face_dofs[lf]
             B[:, idx] += (ND @ T) @ fel.pi_zero
             bnd_mean_dof[idx] += fel.H[0] @ fel.pi_zero

@@ -2,11 +2,13 @@
 
 The basis functions are m_alpha(x) = ((x - center)/scale)^alpha in graded
 ordering, so every matrix in this module is indexed consistently with
-multi_indices. Quadrature on a polygon or polyhedron maps one collapsed
-Gauss-Jacobi rule of the reference simplex affinely onto each simplex of
-a star fan. The reference rules are cached per argument and returned as
-read-only arrays, so every element shares one copy and none can alter it
-for the others.
+multi_indices. A basis evaluates values only: the derivative of a
+polynomial m . c is m . (D_d^T c), with the basis' derivative maps D_d
+applied to its coefficients. Quadrature on a polygon or polyhedron maps
+one collapsed Gauss-Jacobi rule of the reference simplex affinely onto
+each simplex of a star fan. The reference rules are cached per argument
+and returned as read-only arrays, so every element shares one copy and
+none can alter it for the others.
 """
 
 import functools
@@ -59,7 +61,8 @@ def _derivative_pattern(dim, degree):
 
 
 class ScaledMonomialBasis:
-    """Monomials ((x - center)/scale)^alpha up to a total degree."""
+    """Monomials ((x - center)/scale)^alpha up to a total degree: their
+    values, and their derivatives as matrices on the coefficients."""
 
     def __init__(self, dim, degree, center, scale):
         self.dim = dim
@@ -73,14 +76,13 @@ class ScaledMonomialBasis:
         # where each monomial's factor per dim sits in the power table
         offsets = (degree + 1) * np.arange(dim)[:, None]
         self._columns = self.indices.T + offsets
-        self._lowered_columns = np.maximum(self.indices.T - 1, 0) + offsets
 
-    def _powers(self, pts):
-        """Table P[:, d * (degree + 1) + j] = rel[:, d] ** j of the scaled
-        offsets rel, bit for bit the pow values of rel ** alpha: columns 0
-        and 1 are exact, the rest get a full exponent array, since numpy
-        squares (rounding unlike pow) for a scalar or stride-0 exponent 2.
-        """
+    def eval(self, pts):
+        """Values at pts (npts, dim), returned as (npts, n)."""
+        # P[:, d * (degree + 1) + j] = rel[:, d] ** j of the scaled offsets
+        # rel, bit for bit the pow values of rel ** alpha: columns 0 and 1
+        # are exact, the rest get a full exponent array, since numpy
+        # squares (rounding unlike pow) for a scalar or stride-0 exponent 2
         rel = (np.atleast_2d(pts) - self.center) / self.scale
         P = np.ones(rel.shape + (self.degree + 1,))
         if self.degree >= 1:
@@ -89,11 +91,7 @@ class ScaledMonomialBasis:
             exponents = np.empty(rel.shape + (self.degree - 1,))
             exponents[:] = np.arange(2.0, self.degree + 1)
             P[:, :, 2:] = rel[:, :, None] ** exponents
-        return P.reshape(len(rel), -1)
-
-    def eval(self, pts):
-        """Values at pts (npts, dim), returned as (npts, n)."""
-        P = self._powers(pts)
+        P = P.reshape(len(rel), -1)
         # rel[:, d] ** indices[:, d], multiplied over d. np.take keeps
         # the result C-ordered (P[:, cols] would not), and BLAS products
         # of eval results (mass matrices) round differently by layout
@@ -101,21 +99,6 @@ class ScaledMonomialBasis:
         for d in range(1, self.dim):
             vals *= np.take(P, self._columns[d], axis=1)
         return vals
-
-    def grad(self, pts):
-        """Gradients at pts, returned as (npts, n, dim)."""
-        P = self._powers(pts)
-        grads = np.empty((len(P), self.n, self.dim))
-        for d in range(self.dim):
-            part = np.full((len(P), self.n), 1.0 / self.scale)
-            for e in range(self.dim):
-                a = self.indices[:, e]
-                if e == d:
-                    part *= a * np.take(P, self._lowered_columns[e], axis=1)
-                else:
-                    part *= np.take(P, self._columns[e], axis=1)
-            grads[:, :, d] = part
-        return grads
 
     def derivative_maps(self):
         """Matrices D_d with d/dx_d m_alpha = sum_beta D_d[alpha, beta] m_beta,

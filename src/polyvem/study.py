@@ -295,6 +295,10 @@ def _check_config(config):
             and all(_is_count(n) for n in config.levels)):
         raise ValueError("levels must be a non-empty list of integers "
                          f">= 1, not {config.levels!r}")
+    # slopes are fitted over the last levels, taken as the finest
+    if any(a >= b for a, b in zip(config.levels, config.levels[1:])):
+        raise ValueError("levels must be strictly increasing, not "
+                         f"{config.levels!r}")
 
 
 def run_study(config):
@@ -364,7 +368,11 @@ def write_report_files(out, report):
         lines.append(",".join(fields))
     (outdir / "report.csv").write_text("\n".join(lines) + "\n")
 
-    (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    # a nan slope (patch mode, one level) is null: JSON has no NaN
+    slopes = {key: None if math.isnan(value) else value
+              for key, value in report["slopes"].items()}
+    (outdir / "report.json").write_text(
+        json.dumps({**report, "slopes": slopes}, indent=2) + "\n")
 
     dat = ["# h " + " ".join("err_" + key for key in ERROR_KEYS)]
     for row in report["levels"]:

@@ -23,7 +23,8 @@ node points, boundary term B, boundary means and edge stabilizations, an
 edge's global dofs, the walk of a polygon's dofs, the pointwise edge
 error and a polyhedron's node points. They take the package's basis and
 1D rules as arguments, since only the edge loops are under test, and the
-package's edge tables must reproduce them bit for bit.
+package's edge tables must reproduce them bit for bit. Like the package,
+B applies the derivative maps to the edge integrals of the monomials.
 
 Last, it keeps the interpolant built one cell at a time, each element
 writing func at its own node points and its moments (in 3D also the
@@ -31,10 +32,12 @@ moments of each of its faces) into the cells' global dofs. The package
 fills each global dof once; its moment entries must equal these bit for
 bit, and its node entries may differ only by the rounding of the points.
 
-It also keeps the projected error norms summed one cell and one projector
-at a time, from the basis gradients at every quadrature point. The package
-takes the gradients of both projections from the derivative maps in one
-product per cell; its norms must equal these to roundoff.
+The package evaluates no basis gradient; this module keeps the textbook
+values and gradients of a basis (direct_eval_and_grad), the one gradient
+reference of the tests. From it, it sums the projected error norms one
+cell and one projector at a time. The package takes the gradients of
+both projections from the derivative maps in one product per cell; its
+norms must equal these to roundoff.
 
 Run as a script to (re)generate tests/fixtures/klocal_unit_square_k1_*.json.
 """
@@ -365,14 +368,17 @@ def polygon_edge_terms(points, k, basis, h, n_total, rules):
     B = np.zeros((basis.n, n_total))
     mean_dof = np.zeros(n_total)
     mean_mono = np.zeros(basis.n)
+    D = basis.derivative_maps()
     for e in range(nv):
         p0, p1 = points[e], points[(e + 1) % nv]
         dofs = edge_dofs[e]
         pts = p0 + tg[:, None] * (p1 - p0)
-        qvals = (basis.grad(pts) @ normals[e]).T
-        B[:, dofs] += lengths[e] * qvals @ (wg[:, None] * lag)
+        vals = basis.eval(pts)
+        # the monomials against the edge's Lagrange basis, then n . D
+        W = lengths[e] * (vals.T @ (wg[:, None] * lag))
+        B[:, dofs] += (normals[e, 0] * D[0] + normals[e, 1] * D[1]) @ W
         mean_dof[dofs] += lengths[e] * (wg @ lag)
-        mean_mono += lengths[e] * (basis.eval(pts).T @ wg)
+        mean_mono += lengths[e] * (vals.T @ wg)
     out = {"nodes": np.concatenate(node_pts), "B": B,
            "mean_dof": mean_dof / lengths.sum(),
            "mean_mono": mean_mono / lengths.sum(),
@@ -510,6 +516,25 @@ def interpolate_by_cell(mesh, k, func, elements, dofmap, interior_ts):
 
 
 # ---------------------------------------------------------------------------
+# the textbook basis values and gradients
+
+
+def direct_eval_and_grad(basis, pts):
+    """Values (npts, n) and gradients (npts, n, dim) of a scaled monomial
+    basis, one pow per (point, monomial, dim)."""
+    rel = (pts - basis.center) / basis.scale
+    alpha = basis.indices
+    vals = np.prod(rel[:, None, :] ** alpha[None], axis=2)
+    grads = np.empty(vals.shape + (basis.dim,))
+    for d in range(basis.dim):
+        lowered = alpha.copy()
+        lowered[:, d] = np.maximum(alpha[:, d] - 1, 0)
+        grads[:, :, d] = alpha[:, d] / basis.scale * np.prod(
+            rel[:, None, :] ** lowered[None], axis=2)
+    return vals, grads
+
+
+# ---------------------------------------------------------------------------
 # the projected error norms, one projector at a time
 
 
@@ -521,8 +546,7 @@ def errors_by_cell(system, x_full, case, degree):
     for i, el in enumerate(system.elements):
         dofs = x_full[system.dofmap.cell_dofs(i)]
         qp, qw = el.volume_quadrature(degree)
-        vals = el.basis.eval(qp)
-        grads = el.basis.grad(qp)
+        vals, grads = direct_eval_and_grad(el.basis, qp)
         uex = np.asarray(case.u(qp))
         gex = np.asarray(case.grad(qp))
         for proj, tag in ((el.pi_nabla_star, "pinabla"),

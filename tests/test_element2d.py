@@ -412,19 +412,25 @@ def edge_rules(k):
     return (pb.gauss_lobatto(k + 1), tg, wg, *pb.edge_gauss_lagrange(k))
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_edge_table_equals_edge_loop_bitwise(monkeypatch, k):
-    seen = {}
+def edge_case_elements(monkeypatch, k):
+    """The degree-k element of each edge case, with the B (before its
+    moment term) and boundary means it handed to the projector solve."""
+    seen = []
     solve = element2d._solve_projectors
 
     def spy(el, B, mean_dof, mean_mono):
-        seen.update(B=B.copy(), mean_dof=mean_dof.copy(),
-                    mean_mono=mean_mono.copy())
+        seen.append(dict(B=B.copy(), mean_dof=mean_dof.copy(),
+                         mean_mono=mean_mono.copy()))
         solve(el, B, mean_dof, mean_mono)
 
     monkeypatch.setattr(element2d, "_solve_projectors", spy)
-    for pts in edge_cases():
-        el = Element2D(pm.polygon_geometry(pts), k)
+    els = [Element2D(pm.polygon_geometry(pts), k) for pts in edge_cases()]
+    return list(zip(els, seen))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_edge_table_equals_edge_loop_bitwise(monkeypatch, k):
+    for el, seen in edge_case_elements(monkeypatch, k):
         want = dense_oracle.polygon_edge_terms(
             el.geometry.points, k, el.basis, el.geometry.h, el.layout.n_total,
             edge_rules(k))
@@ -433,6 +439,24 @@ def test_edge_table_equals_edge_loop_bitwise(monkeypatch, k):
             assert np.array_equal(seen[key], want[key]), key
         for kind in ("s1", "s2", "s2tilde"):
             assert np.array_equal(el.stabilization_matrix(kind), want[kind])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_boundary_term_equals_gradient_formula(monkeypatch, k):
+    # B from the derivative maps against the textbook one: the normal
+    # derivatives of the monomials at the Gauss points of each edge
+    tg, wg = pb.gauss_legendre(k + 2)
+    lag, _ = pb.edge_gauss_lagrange(k)
+    for el, seen in edge_case_elements(monkeypatch, k):
+        poly = el.geometry
+        want = np.zeros_like(seen["B"])
+        for e, dofs in enumerate(el._edge_dofs):
+            qp = poly.points[e] + tg[:, None] * poly.tangents[e]
+            _, grads = dense_oracle.direct_eval_and_grad(el.basis, qp)
+            normal_der = (grads @ poly.normals[e]).T
+            want[:, dofs] += poly.lengths[e] * normal_der @ (wg[:, None] * lag)
+        assert (np.abs(seen["B"] - want).max()
+                <= 1e-13 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -181,23 +181,17 @@ def test_linf_edges_equals_edge_loop_bitwise(dim, family):
                          [(2, "uniform"), (2, "smalledge(0.1)"),
                           (2, "distorted(3)"), (2, "hanging"),
                           (3, "uniform"), (3, "facesplit(0.05)")])
-def test_error_norms_equal_gradient_loop(monkeypatch, dim, family, k):
+def test_error_norms_equal_gradient_loop(dim, family, k):
     # random dofs make every error O(1), so the relative tolerance
     # measures the sums, not cancellation near zero
     mesh = (pm.generate_square_mesh(4, family) if dim == 2
             else pm.generate_cube_mesh(2, family))
     sys_ = ps.assemble(mesh, k, None)
     x = np.random.default_rng(k).standard_normal(sys_.dofmap.n_total)
-
-    def no_grad(self, pts):
-        raise AssertionError("compute_errors evaluated basis gradients")
-
     for case in (st.get_case("sine", dim), st.get_case("patch", dim, k)):
         want = dense_oracle.errors_by_cell(sys_, x, case, 2 * k + 4)
         g = interpolant(mesh, sys_, case)
-        with monkeypatch.context() as m:
-            m.setattr(pb.ScaledMonomialBasis, "grad", no_grad)
-            got = st.compute_errors(mesh, k, sys_, x, case, g)
+        got = st.compute_errors(mesh, k, sys_, x, case, g)
         for key, value in want.items():
             assert math.isclose(got[key], value, rel_tol=1e-12), key
 
@@ -339,6 +333,22 @@ def test_run_study_patch_mode_slopes_nan(tmp_path):
     assert report["passed"] and not report["rates_checked"]
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(k=2, case="patch", family="distorted(1)", levels=[2, 4]),
+    dict(levels=[2]),
+])
+def test_report_json_writes_nan_slopes_as_null(tmp_path, overrides):
+    # RFC 8259 has no NaN; strict parsers reject the bare token
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = run_small_study(tmp_path, **overrides)
+    data = json.loads((tmp_path / "out" / "report.json").read_text(),
+                      parse_constant=reject)
+    assert all(math.isnan(v) for v in report["slopes"].values())
+    assert all(v is None for v in data["slopes"].values())
+
+
 @pytest.mark.parametrize("case", ["sine", "patch"])
 def test_run_study_interpolates_once_per_level(monkeypatch, case):
     # the one interpolant of a level is the boundary data in patch mode
@@ -452,6 +462,9 @@ def test_cli_study_unwritable_out_exit_code(tmp_path, capsys):
     {"dim": 4, "levels": [2]},
     {"levels": 4},
     {"k": "2", "levels": [2]},
+    # slopes are fitted over the last levels, taken as the finest
+    {"levels": [16, 8, 4, 2]},
+    {"levels": [2, 4, 4]},
 ])
 def test_bad_study_config_rejected(tmp_path, capsys, bad):
     from polyvem.cli import main
