@@ -126,7 +126,7 @@ def _read_only(a):
 @functools.cache
 def gauss_legendre(n):
     """n-point Gauss rule on [0, 1]; weights sum to 1. Cached, read-only."""
-    t, w = np.polynomial.legendre.leggauss(n)
+    t, w = scipy.special.roots_legendre(n)
     return _read_only(0.5 * (t + 1.0)), _read_only(0.5 * w)
 
 
@@ -136,10 +136,10 @@ def gauss_lobatto(n):
     read-only."""
     if n < 2:
         raise ValueError("Lobatto rules need at least 2 nodes")
-    # interior nodes are the extrema of the Legendre polynomial P_{n-1}
-    leg = np.zeros(n)
-    leg[n - 1] = 1.0
-    interior = np.sort(np.polynomial.legendre.Legendre(leg).deriv().roots())
+    # interior nodes are the extrema of the Legendre polynomial P_{n-1},
+    # the roots of P'_{n-1}, a multiple of the Jacobi polynomial P^(1,1)_{n-2}
+    interior = (scipy.special.roots_jacobi(n - 2, 1, 1)[0] if n > 2
+                else np.empty(0))
     nodes = np.concatenate([[0.0], 0.5 * (interior + 1.0), [1.0]])
     return _read_only(nodes)
 

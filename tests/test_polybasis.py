@@ -166,6 +166,22 @@ def test_gauss_lobatto_small_cases():
     assert np.allclose(pb.gauss_lobatto(4), [0.0, 0.5 * (1 - r), 0.5 * (1 + r), 1.0])
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_1d_rules_equal_legendre_series_construction(n):
+    # the scipy.special roots against numpy's Legendre series: Gauss
+    # points and weights from leggauss, Lobatto interior nodes as the
+    # roots of the derivative of P_{n-1}
+    t, w = np.polynomial.legendre.leggauss(n)
+    got_t, got_w = pb.gauss_legendre(n)
+    assert np.abs(got_t - 0.5 * (t + 1.0)).max() <= 1e-15
+    assert np.abs(got_w - 0.5 * w).max() <= 1e-15
+    leg = np.zeros(n)
+    leg[n - 1] = 1.0
+    interior = np.sort(np.polynomial.legendre.Legendre(leg).deriv().roots())
+    want = np.concatenate([[0.0], 0.5 * (interior + 1.0), [1.0]])
+    assert np.abs(pb.gauss_lobatto(n) - want).max() <= 1e-15
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
 def test_edge_interior_nodes_are_lobatto_interior(k):
     nodes = pb.edge_interior_nodes(k)
