@@ -12,7 +12,7 @@ import json
 import sys
 
 from .mesh import (MeshError, generate_cube_mesh, generate_square_mesh,
-                   load_mesh, save_mesh)
+                   load_mesh, quality_report, save_mesh)
 from .study import StudyConfig, run_study
 from .system import NotConverged
 
@@ -36,11 +36,18 @@ def _mesh_check(args):
     try:
         mesh = load_mesh(args.infile)
         mesh.validate()
+        quality = quality_report(mesh)
     except (MeshError, ValueError, KeyError, IndexError, OSError) as exc:
         print(f"invalid mesh: {exc}", file=sys.stderr)
         return 1
     print(f"ok: dim={mesh.dim} vertices={mesh.n_vertices} "
           f"cells={mesh.n_cells}")
+    # the extremes of the paper's mesh assumptions: edge ratio per cell,
+    # kernel radius over diameter, and in 3D the edge ratio per face
+    print(f"max tau: {quality.max_tau:.12g}")
+    print(f"min rho: {float(quality.rho.min()):.12g}")
+    if quality.tau_face is not None:
+        print(f"max tau_face: {float(quality.tau_face.max()):.12g}")
     return 0
 
 

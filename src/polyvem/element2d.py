@@ -1,16 +1,30 @@
-"""Local virtual element operators on a single polygon.
+"""Local virtual element operators on polygons, computed on stacks.
 
 Shape functions are never evaluated inside the cell: everything is driven
 by their degrees of freedom (vertex values, Lobatto edge values, scaled
-interior moments). The element exposes the energy and L2 projectors onto
+interior moments). An element exposes the energy and L2 projectors onto
 polynomials, the projected stiffness with a choice of stabilizations and
 the projected load; the interpolant is system.interpolate_global.
+
+Every matrix of a degree-k element has the same shape on every polygon
+with the same vertex count, so the numbers are computed on stacks: a
+PolygonStack holds the elements of such polygons with the polygons on a
+leading axis, and an Element2D is a view of one polygon in its stack.
+stack_elements groups elements by vertex count and cuts each group into
+chunks of whole polygons of at most CHUNK_POINTS points of the error rule,
+so the stacked temporaries stay small. A standalone Element2D is a stack
+of one, built on first use.
 """
 
+import functools
+
 import numpy as np
-import scipy.linalg
 
 from . import polybasis as pb
+
+# the most points of the degree 2k + 4 error rule in one stack, about as
+# many as one hexahedral cell with octagonal faces has at k = 2
+CHUNK_POINTS = 6000
 
 
 class DofLayout:
@@ -24,204 +38,296 @@ class DofLayout:
         self.n_total = n_boundary + n_moment
 
 
-def _refined_solve(lu, A, B):
-    """Solve A X = B with one step of iterative refinement."""
-    X = scipy.linalg.lu_solve(lu, B)
-    X += scipy.linalg.lu_solve(lu, B - A @ X)
+def _refined_solve(A, B):
+    """Solve the stacked systems A X = B with one step of iterative
+    refinement."""
+    X = np.linalg.solve(A, B)
+    X += np.linalg.solve(A, B - A @ X)
     return X
 
 
-# The projector core below is shared by the 2D and 3D elements. An element
-# supplies basis, geometry, H, Gt, d_mat, layout.n_total and its volume
-# quadrature _qp, _qw; its last layout.n_moment dofs are the scaled cell
-# moments, and its first len(_node_points) dofs the node values.
+def _solve_projectors(st, B, bnd_mean_dof, bnd_mean_mono):
+    """Set pi_nabla_star, pi_nabla and pi_zero of a stack of elements.
 
-def _solve_projectors(el, B, bnd_mean_dof, bnd_mean_mono):
-    """Set pi_nabla_star, pi_nabla and pi_zero of an element.
-
-    B holds the boundary integrals of the monomials' normal derivatives
-    against the dofs; the two boundary means fix the constants.
+    The stack supplies k, layout, measure, basis, H, Gt and d_mat, with
+    the elements on their first axis. B holds the boundary integrals of
+    the monomials' normal derivatives against the dofs; the two boundary
+    means fix the constants. Its last layout.n_moment dofs are the
+    scaled cell moments.
     """
-    k = el.k
-    n_total, nm = el.layout.n_total, el.layout.n_moment
-    measure = el.geometry.measure
+    k = st.k
+    n_total, nm = st.layout.n_total, st.layout.n_moment
+    measure = st.measure[:, None, None]
     # moments carry the exact volume term of the integration by parts
-    lap = el.basis.laplacian_map()
-    B[:, n_total - nm:] -= measure * lap[:, :nm]
+    B[..., n_total - nm:] -= measure * st.basis.laplacian_map()[..., :nm]
 
     # a change to an H-orthonormal basis keeps the projector solves
     # well conditioned once the monomials become nearly dependent
-    R = pb.orthonormal_change(el.H) if k >= 3 else None
+    R = pb.orthonormal_change(st.H) if k >= 3 else None
     if R is None:
-        Gc = el.Gt.copy()
-        Gc[0] = bnd_mean_mono
+        Gc = st.Gt.copy()
+        Gc[:, 0] = bnd_mean_mono
         Bc = B.copy()
-        Bc[0] = bnd_mean_dof
     else:
-        Gc = R.T @ el.Gt @ R
-        Gc[0] = R.T @ bnd_mean_mono
-        Bc = R.T @ B
-        Bc[0] = bnd_mean_dof
-    lu = scipy.linalg.lu_factor(Gc)
-    X = _refined_solve(lu, Gc, Bc)
-    el.pi_nabla_star = R @ X if R is not None else X
-    el.pi_nabla = el.d_mat @ el.pi_nabla_star
+        Rt = np.swapaxes(R, -1, -2)
+        Gc = Rt @ st.Gt @ R
+        Gc[:, 0] = (Rt @ bnd_mean_mono[..., None])[..., 0]
+        Bc = Rt @ B
+    Bc[:, 0] = bnd_mean_dof
+    X = _refined_solve(Gc, Bc)
+    st.pi_nabla_star = R @ X if R is not None else X
+    st.pi_nabla = st.d_mat @ st.pi_nabla_star
 
     if k == 1:
-        el.pi_zero = el.pi_nabla_star
+        st.pi_zero = st.pi_nabla_star
+        return
+    M = st.H @ st.pi_nabla_star
+    M[:, :nm] = 0.0
+    rows = np.arange(nm)
+    M[:, rows, n_total - nm + rows] = st.measure[:, None]
+    if R is None:
+        st.pi_zero = _refined_solve(st.H, M)
     else:
-        M = el.H @ el.pi_nabla_star
-        M[:nm] = 0.0
-        M[np.arange(nm), n_total - nm + np.arange(nm)] = measure
-        if R is None:
-            lu_h = scipy.linalg.lu_factor(el.H)
-            el.pi_zero = _refined_solve(lu_h, el.H, M)
+        Z = R @ (Rt @ M)
+        Z += R @ (Rt @ (M - st.H @ Z))
+        st.pi_zero = Z
+
+
+class ElementStack:
+    """Stiffness, load and moments of a stack of elements of one shape.
+
+    A subclass supplies k, layout, measure (G,), a stacked basis, H, Gt,
+    the projectors of _solve_projectors, the volume rule _qp, _qw of
+    degree 2k, volume_quadrature(degree) and stabilization_matrix(kind);
+    every array has the G elements on its first axis.
+    """
+
+    def local_stiffness(self, kind):
+        """Projected stiffness plus the stabilized residual part."""
+        S = self.stabilization_matrix(kind)
+        P = self.pi_nabla_star
+        K = np.swapaxes(P, -1, -2) @ self.Gt @ P
+        resid = np.eye(self.layout.n_total) - self.pi_nabla
+        K += np.swapaxes(resid, -1, -2) @ S @ resid
+        return 0.5 * (K + np.swapaxes(K, -1, -2))
+
+    def local_load(self, f):
+        """Integrals of f against the load polynomials of the dofs; f is
+        called once, on the volume points of the whole stack."""
+        lay = self.layout
+        if self.k == 1:
+            C, nj = self.pi_zero, self.basis.n
+        elif self.k == 2:
+            nj = pb.n_poly(self.basis.dim, 1)
+            C = np.linalg.solve(self.H[:, :nj, :nj],
+                                self.H[:, :nj] @ self.pi_zero)
         else:
-            Z = R @ (R.T @ M)
-            Z += R @ (R.T @ (M - el.H @ Z))
-            el.pi_zero = Z
+            # for k >= 3 the degree k-2 moments are stored dofs
+            nj = nm = lay.n_moment
+            C = np.zeros((len(self.measure), nm, lay.n_total))
+            C[..., -nm:] = (self.measure[:, None, None]
+                            * np.linalg.inv(self.H[:, :nm, :nm]))
+        qp = self._qp
+        fvals = np.asarray(f(qp.reshape(-1, qp.shape[-1])), dtype=float)
+        mvec = self._integrals(fvals.reshape(qp.shape[:-1]), nj)
+        return (np.swapaxes(C, -1, -2) @ mvec[..., None])[..., 0]
+
+    def moments(self, fvals):
+        """The scaled moments against the first layout.n_moment monomials
+        of functions with values fvals (G, npts) at the points _qp."""
+        return (self._integrals(fvals, self.layout.n_moment)
+                / self.measure[:, None])
+
+    def _integrals(self, fvals, n):
+        # the values times the weights, transposed, so that each element's
+        # product has the layout (and rounding) of a single element's
+        vals = self.basis.eval(self._qp)[..., :n]
+        weighted = np.swapaxes(vals * self._qw[..., None], -1, -2)
+        return (weighted @ fvals[..., None])[..., 0]
 
 
-def _local_stiffness(el, S):
-    """Projected stiffness plus the residual part stabilized by S."""
-    K = el.pi_nabla_star.T @ el.Gt @ el.pi_nabla_star
-    resid = np.eye(el.layout.n_total) - el.pi_nabla
-    K += resid.T @ S @ resid
-    return 0.5 * (K + K.T)
+@functools.cache
+def _polygon_dofs(nv, k):
+    """The local dof layout of a degree-k polygon with nv vertices, and
+    per segment p -> q its local dofs: p, the k-1 nodes from p to q, q."""
+    ids = np.arange(nv)
+    edge_dofs = np.column_stack(
+        [ids, nv + (k - 1) * ids[:, None] + np.arange(k - 1),
+         np.roll(ids, -1)])
+    return DofLayout(nv * k, pb.n_poly(2, k - 2)), pb._read_only(edge_dofs)
 
 
-def _local_load(el, f):
-    """Integrals of f against the load polynomials of the dofs."""
-    if el.k == 1:
-        C, nj = el.pi_zero, el.basis.n
-    elif el.k == 2:
-        nj = pb.n_poly(el.basis.dim, 1)
-        H1 = el.H[:nj, :nj]
-        C = np.linalg.solve(H1, el.H[:nj] @ el.pi_zero)
-    else:
-        # for k >= 3 the degree k-2 moments are stored dofs
-        nj = nm = el.layout.n_moment
-        C = np.zeros((nm, el.layout.n_total))
-        C[:, -nm:] = el.geometry.measure * np.linalg.inv(el.H[:nm, :nm])
-    fvals = np.asarray(f(el._qp), dtype=float)
-    mvec = (el.basis.eval(el._qp)[:, :nj].T * el._qw) @ fvals
-    return C.T @ mvec
+class PolygonStack(ElementStack):
+    """Degree-k elements of polygons with one vertex count, stacked.
 
+    Built from the elements' records: their vertices, edge tables,
+    diameters, areas, centroids and star points, stacked on a first axis.
+    """
 
-def _moments(el, func):
-    """The scaled moments of func against the first layout.n_moment
-    monomials of an element, on its volume quadrature."""
-    fvals = np.asarray(func(el._qp), dtype=float)
-    vals = el.basis.eval(el._qp)[:, :el.layout.n_moment]
-    return (vals.T * el._qw) @ fvals / el.geometry.measure
+    def __init__(self, elements):
+        first = elements[0]
+        k = self.k = first.k
+        self.layout, self.edge_dofs = first.layout, first._edge_dofs
+        polys = [el.geometry for el in elements]
+        self.points = np.array([p.points for p in polys])
+        self.tangents = np.array([p.tangents for p in polys])
+        self.lengths = np.array([p.lengths for p in polys])
+        self.normals = np.array([p.normals for p in polys])
+        self.h = np.array([p.h for p in polys])
+        self.measure = np.array([p.measure for p in polys])
+        self.star_center = np.array([p.star_center for p in polys])
+        self.basis = pb.ScaledMonomialBasis(
+            2, k, np.array([p.centroid for p in polys]), self.h)
 
-
-class Element2D:
-    """Degree-k virtual element on a star-shaped polygon, built from the
-    polygon's record (mesh.polygon_geometry): its geometry, vertices and
-    edge table."""
-
-    def __init__(self, polygon, k):
-        if k < 1:
-            raise ValueError("polynomial degree must be at least 1")
-        self.k = k
-        self.geometry = polygon
-        self.basis = pb.ScaledMonomialBasis(2, k, polygon.centroid, polygon.h)
-        nv = len(polygon.points)
-        self.layout = DofLayout(nv * k, pb.n_poly(2, k - 2))
-
-        # per segment p -> q: its local dofs p, the k-1 nodes from p to q, q
-        ids = np.arange(nv)
-        self._edge_dofs = np.column_stack(
-            [ids, nv + (k - 1) * ids[:, None] + np.arange(k - 1),
-             np.roll(ids, -1)])
         self._node_points = np.concatenate(
-            [polygon.points, pb._segment_points(
-                polygon.points, polygon.tangents, pb.edge_interior_nodes(k))])
+            [self.points, pb._segment_points(
+                self.points, self.tangents, pb.edge_interior_nodes(k))],
+            axis=1)
         self._qp, self._qw = self.volume_quadrature(2 * k)
         self.H = pb.mass_matrix(self.basis, self._qp, self._qw)
         self.Gt = pb.stiffness_from_mass(self.basis, self.H)
-        self._build_d_mat()
+        nm = self.layout.n_moment
+        self.d_mat = np.concatenate(
+            [self.basis.eval(self._node_points),
+             self.H[:, :nm, :] / self.measure[:, None, None]], axis=1)
         self._build_projectors()
-
-    # -- geometry ----------------------------------------------------------
+        for i, el in enumerate(elements):
+            el._stack, el._index = self, i
 
     def volume_quadrature(self, degree):
-        """A quadrature rule over the polygon, exact to the degree."""
-        return pb.polygon_quadrature(self.geometry.points,
-                                     self.geometry.star_center, degree)
-
-    # -- dof matrix and projectors -----------------------------------------
-
-    def _build_d_mat(self):
-        nm = self.layout.n_moment
-        area = self.geometry.measure
-        self.d_mat = np.vstack([self.basis.eval(self._node_points),
-                                self.H[:nm, :] / area])
+        """A quadrature rule over each polygon, exact to the degree."""
+        return pb.polygon_quadrature(self.points, self.star_center, degree)
 
     def _build_projectors(self):
-        k, n, poly = self.k, self.basis.n, self.geometry
-        nv, lengths, dofs = len(poly.points), poly.lengths, self._edge_dofs
+        k, n, N = self.k, self.basis.n, self.layout.n_total
+        nv = self.points.shape[1]
         tg, wg = pb.gauss_legendre(k + 2)
         lag, _ = pb.edge_gauss_lagrange(k)
         # traces of the monomials, taken directly at the Gauss points of
-        # every edge, as (nv, ng, n)
-        pts = pb._segment_points(poly.points, poly.tangents, tg)
-        traces = self.basis.eval(pts).reshape(nv, len(tg), n)
+        # every edge, as (G, nv, ng, n)
+        pts = pb._segment_points(self.points, self.tangents, tg)
+        traces = self.basis.eval(pts).reshape(-1, nv, len(tg), n)
+        traces_t = np.swapaxes(traces, -1, -2)
 
         # per edge, the integrals of the monomials against its Lagrange
-        # basis, (nv, n, k+1); the normal derivative maps n_e . D turn
+        # basis, (G, nv, n, k+1); the normal derivative maps n_e . D turn
         # them into the edge's share of B
-        W = lengths[:, None, None] * (traces.transpose(0, 2, 1)
-                                      @ (wg[:, None] * lag))
-        ND = np.tensordot(poly.normals, self.basis.derivative_maps(), 1)
-        B = np.zeros((n, self.layout.n_total))
-        np.add.at(B.T, dofs, (ND @ W).transpose(0, 2, 1))
-        bnd_mean_dof = np.zeros(self.layout.n_total)
-        np.add.at(bnd_mean_dof, dofs, lengths[:, None] * (wg @ lag))
-        bnd_mean_mono = (lengths[:, None]
-                         * (traces.transpose(0, 2, 1) @ wg)).sum(axis=0)
-        bnd_mean_dof /= lengths.sum()
-        bnd_mean_mono /= lengths.sum()
-        _solve_projectors(self, B, bnd_mean_dof, bnd_mean_mono)
-
-    # -- stabilization and stiffness ---------------------------------------
+        W = self.lengths[..., None, None] * (traces_t @ (wg[:, None] * lag))
+        maps = self.basis.derivative_maps()[:, None]
+        ND = (self.normals[..., 0, None, None] * maps[:, :, 0]
+              + self.normals[..., 1, None, None] * maps[:, :, 1])
+        # a vertex sums the ends of its two edges, in either order
+        every, dofs = slice(None), self.edge_dofs
+        B = np.zeros((len(self.h), n, N))
+        np.add.at(B, (every, every, dofs), np.moveaxis(ND @ W, 1, 2))
+        bnd_mean_dof = np.zeros((len(self.h), N))
+        np.add.at(bnd_mean_dof, (every, dofs),
+                  self.lengths[..., None] * (wg @ lag))
+        perimeter = self.lengths.sum(axis=1)[:, None]
+        bnd_mean_mono = (self.lengths[..., None]
+                         * (traces_t @ wg)).sum(axis=1)
+        _solve_projectors(self, B, bnd_mean_dof / perimeter,
+                          bnd_mean_mono / perimeter)
 
     def stabilization_matrix(self, kind):
-        """Stabilizing inner product on the dofs.
+        """Stabilizing inner products on the dofs, (G, N, N).
 
         "s1" is the identity on boundary dofs. "s2" and "s2tilde" penalize
         the tangential derivative jump energy of the edge traces, weighted
         by the cell diameter and the edge length respectively.
         """
-        n = self.layout.n_total
-        S = np.zeros((n, n))
+        N = self.layout.n_total
+        S = np.zeros((len(self.h), N, N))
         if kind == "s1":
             idx = np.arange(self.layout.n_boundary)
-            S[idx, idx] = 1.0
+            S[:, idx, idx] = 1.0
             return S
         if kind not in ("s2", "s2tilde"):
             raise ValueError(f"unknown stabilization {kind!r}")
         _, wg = pb.gauss_legendre(self.k + 2)
         _, dlag = pb.edge_gauss_lagrange(self.k)
         local = (dlag.T * wg) @ dlag
-        lengths = self.geometry.lengths
-        weight = (self.geometry.h / lengths if kind == "s2"
-                  else np.ones(len(lengths)))
-        dofs = self._edge_dofs
-        np.add.at(S, (dofs[:, :, None], dofs[:, None, :]),
-                  weight[:, None, None] * local)
+        weight = (self.h[:, None] / self.lengths if kind == "s2"
+                  else np.ones_like(self.lengths))
+        dofs = self.edge_dofs
+        np.add.at(S, (slice(None), dofs[:, :, None], dofs[:, None, :]),
+                  weight[..., None, None] * local)
         return S
+
+
+def stack_elements(elements):
+    """Compute the numbers of 2D elements in stacks.
+
+    The elements are grouped by vertex count and degree, in order of
+    first appearance, and each group is cut into chunks of whole
+    polygons; every chunk becomes one PolygonStack.
+    """
+    groups = {}
+    for el in elements:
+        groups.setdefault((len(el.geometry.points), el.k), []).append(el)
+    for (nv, k), members in groups.items():
+        per_cell = nv * len(pb.simplex_rule(2, 2 * k + 4)[1])
+        size = max(1, CHUNK_POINTS // per_cell)
+        for i in range(0, len(members), size):
+            PolygonStack(members[i:i + size])
+
+
+# the attributes an Element2D reads from its stack, one polygon's slice
+_STACKED = ("H", "Gt", "d_mat", "pi_nabla_star", "pi_nabla", "pi_zero",
+            "_qp", "_qw", "_node_points")
+
+
+class Element2D:
+    """Degree-k virtual element on a star-shaped polygon, built from the
+    polygon's record (mesh.polygon_geometry): its geometry, vertices and
+    edge table.
+
+    The constructor only records the polygon; the numbers are its slice
+    of a PolygonStack (stack_elements), a stack of its own when it is
+    first used without one. Its stiffness, load and stabilization are
+    computed for its whole stack, of which it returns its own.
+    """
+
+    def __init__(self, polygon, k):
+        if k < 1:
+            raise ValueError("polynomial degree must be at least 1")
+        self.k = k
+        self.geometry = polygon
+        self.layout, self._edge_dofs = _polygon_dofs(len(polygon.points), k)
+
+    def __getattr__(self, name):
+        # only reached for attributes not set yet: the stack and its slices
+        if name in ("_stack", "_index"):
+            PolygonStack([self])
+            return self.__dict__[name]
+        if name == "basis":
+            st, i = self._stack, self._index
+            value = pb.ScaledMonomialBasis(2, self.k, st.basis.center[i],
+                                           st.basis.scale[i])
+        elif name in _STACKED:
+            value = getattr(self._stack, name)[self._index]
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = value
+        return value
+
+    def volume_quadrature(self, degree):
+        """A quadrature rule over the polygon, exact to the degree."""
+        return pb.polygon_quadrature(self.geometry.points,
+                                     self.geometry.star_center, degree)
+
+    def stabilization_matrix(self, kind):
+        """Stabilizing inner product on the dofs; see
+        PolygonStack.stabilization_matrix."""
+        return self._stack.stabilization_matrix(kind)[self._index]
 
     def local_stiffness(self, kind):
         """Projected stiffness plus the stabilized residual part."""
-        return _local_stiffness(self, self.stabilization_matrix(kind))
-
-    # -- load and norms ----------------------------------------------------
+        return self._stack.local_stiffness(kind)[self._index]
 
     def local_load(self, f):
         """Right hand side integrals of f against the projected dofs."""
-        return _local_load(self, f)
+        return self._stack.local_load(f)[self._index]
 
     def seminorm_tbar(self, v):
         """Computable seminorm combining the projected interior part with

@@ -8,11 +8,12 @@ Lobatto edge values, face moments against the face's own scaled monomials,
 and interior cell moments.
 """
 
+import weakref
+
 import numpy as np
 
 from . import polybasis as pb
-from .element2d import (DofLayout, _local_load, _local_stiffness,
-                        _solve_projectors)
+from .element2d import DofLayout, ElementStack, _solve_projectors
 from .mesh import star_fan
 
 
@@ -98,7 +99,12 @@ class Element3D:
         self.d_mat = np.vstack(rows)
         bnd_mean_dof /= total_area
         bnd_mean_mono /= total_area
-        _solve_projectors(self, B, bnd_mean_dof, bnd_mean_mono)
+        self._stack, self._index = CellStack(self), 0
+        _solve_projectors(self._stack, B[None], bnd_mean_dof[None],
+                          bnd_mean_mono[None])
+        self.pi_nabla_star, self.pi_nabla, self.pi_zero = (
+            self._stack.pi_nabla_star[0], self._stack.pi_nabla[0],
+            self._stack.pi_zero[0])
 
     # -- stabilization and stiffness -------------------------------------------
 
@@ -128,10 +134,36 @@ class Element3D:
 
     def local_stiffness(self):
         """Projected stiffness plus the stabilized residual part."""
-        return _local_stiffness(self, self.stabilization_matrix())
+        return self._stack.local_stiffness("3d")[0]
 
     # -- load -------------------------------------------------------------------
 
     def local_load(self, f):
         """Right hand side integrals of f against the projected dofs."""
-        return _local_load(self, f)
+        return self._stack.local_load(f)[0]
+
+
+class CellStack(ElementStack):
+    """One polyhedral element as a stack of one, so that it shares the
+    projector core and the stacked stiffness, load and moments with the
+    polygons."""
+
+    def __init__(self, el):
+        # a weak reference: the element holds its stack, and a cycle
+        # would keep every level's arrays alive until the next collection
+        self._element = weakref.ref(el)
+        self.k, self.layout = el.k, el.layout
+        self.measure = np.array([el.geometry.measure])
+        self.basis = pb.ScaledMonomialBasis(3, el.k, el.basis.center[None],
+                                            el.basis.scale[None])
+        self.H, self.Gt, self.d_mat = el.H[None], el.Gt[None], el.d_mat[None]
+        self._qp, self._qw = el._qp[None], el._qw[None]
+
+    def volume_quadrature(self, degree):
+        """The element's volume rule of the degree, as a stack of one."""
+        qp, qw = self._element().volume_quadrature(degree)
+        return qp[None], qw[None]
+
+    def stabilization_matrix(self, kind):
+        """The element's face-wise form, as a stack of one."""
+        return self._element().stabilization_matrix()[None]

@@ -15,7 +15,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 
@@ -62,55 +61,66 @@ def _derivative_pattern(dim, degree):
 
 class ScaledMonomialBasis:
     """Monomials ((x - center)/scale)^alpha up to a total degree: their
-    values, and their derivatives as matrices on the coefficients."""
+    values, and their derivatives as matrices on the coefficients.
+
+    One basis may stand for a stack of bases of one dim and degree:
+    center (G, dim) and scale (G,). Then eval takes points (G, npts, dim)
+    and every matrix carries the leading axis G.
+    """
 
     def __init__(self, dim, degree, center, scale):
         self.dim = dim
         self.degree = degree
         self.center = np.asarray(center, dtype=float)
-        self.scale = float(scale)
+        self.scale = np.asarray(scale, dtype=float)
         self.indices = multi_indices(dim, degree)
         self.n = len(self.indices)
-        self._maps = _read_only(
-            _derivative_pattern(dim, degree) / self.scale)
+        self._maps = _read_only(_derivative_pattern(dim, degree)
+                                / self.scale[..., None, None, None])
         # where each monomial's factor per dim sits in the power table
         offsets = (degree + 1) * np.arange(dim)[:, None]
         self._columns = self.indices.T + offsets
 
     def eval(self, pts):
-        """Values at pts (npts, dim), returned as (npts, n)."""
-        # P[:, d * (degree + 1) + j] = rel[:, d] ** j of the scaled offsets
-        # rel, bit for bit the pow values of rel ** alpha: columns 0 and 1
-        # are exact, the rest get a full exponent array, since numpy
+        """Values at pts (npts, dim), returned as (npts, n); for a stack,
+        at pts (G, npts, dim), returned as (G, npts, n)."""
+        # P[..., d * (degree + 1) + j] = rel[..., d] ** j of the scaled
+        # offsets rel, bit for bit the pow values of rel ** alpha: columns
+        # 0 and 1 are exact, the rest get a full exponent array, since numpy
         # squares (rounding unlike pow) for a scalar or stride-0 exponent 2
-        rel = (np.atleast_2d(pts) - self.center) / self.scale
+        pts = np.asarray(pts, dtype=float)
+        if pts.ndim == 1:
+            pts = pts[None]
+        rel = ((pts - self.center[..., None, :])
+               / self.scale[..., None, None])
         P = np.ones(rel.shape + (self.degree + 1,))
         if self.degree >= 1:
-            P[:, :, 1] = rel
+            P[..., 1] = rel
         if self.degree >= 2:
             exponents = np.empty(rel.shape + (self.degree - 1,))
             exponents[:] = np.arange(2.0, self.degree + 1)
-            P[:, :, 2:] = rel[:, :, None] ** exponents
-        P = P.reshape(len(rel), -1)
-        # rel[:, d] ** indices[:, d], multiplied over d. np.take keeps
-        # the result C-ordered (P[:, cols] would not), and BLAS products
+            P[..., 2:] = rel[..., None] ** exponents
+        P = P.reshape(rel.shape[:-1] + (-1,))
+        # rel[..., d] ** indices[:, d], multiplied over d. np.take keeps
+        # the result C-ordered (P[..., cols] would not), and BLAS products
         # of eval results (mass matrices) round differently by layout
-        vals = np.take(P, self._columns[0], axis=1)
+        vals = np.take(P, self._columns[0], axis=-1)
         for d in range(1, self.dim):
-            vals *= np.take(P, self._columns[d], axis=1)
+            vals *= np.take(P, self._columns[d], axis=-1)
         return vals
 
     def derivative_maps(self):
         """Matrices D_d with d/dx_d m_alpha = sum_beta D_d[alpha, beta] m_beta,
-        stacked as (dim, n, n). Built once per basis, read-only."""
+        as (dim, n, n), or (G, dim, n, n) for a stack. Built once per
+        basis, read-only."""
         return self._maps
 
     def laplacian_map(self):
         """Matrix L with laplacian(m_alpha) = sum_beta L[alpha, beta] m_beta."""
         maps = self.derivative_maps()
-        L = np.zeros((self.n, self.n))
-        for D in maps:
-            L += D @ D
+        L = np.zeros(maps.shape[:-3] + (self.n, self.n))
+        for d in range(self.dim):
+            L += maps[..., d, :, :] @ maps[..., d, :, :]
         return L
 
 
@@ -187,29 +197,38 @@ def simplex_rule(dim, degree):
 
 def _fan_quadrature(apex, E, jac, degree):
     """The simplex rule mapped onto each simplex apex + E[i], whose other
-    vertices are apex + E[i, j], with weights scaled by jac[i]; simplices
-    with jac == 0 are skipped."""
-    keep = jac != 0.0
+    vertices are apex + E[i, j], with weights scaled by jac[i].
+
+    For a stack of fans (apex (G, dim), E (G, ns, dim, dim), jac (G, ns))
+    the points and weights come as (G, npts, dim) and (G, npts). A simplex
+    with jac == 0 in every fan of the stack is skipped; where only some
+    fans have it, its weights there are zero.
+    """
+    keep = np.any(jac != 0.0, axis=tuple(range(jac.ndim - 1)))
     tp, tw = simplex_rule(E.shape[-1], degree)
-    qp = apex + tp @ E[keep]
-    return qp.reshape(-1, E.shape[-1]), (jac[keep, None] * tw).ravel()
+    qp = apex[..., None, None, :] + tp @ E[..., keep, :, :]
+    shape = qp.shape[:-3] + (-1, E.shape[-1])
+    return qp.reshape(shape), (jac[..., keep, None] * tw).reshape(shape[:-1])
 
 
 def _segment_points(starts, steps, ts):
     """The points start + t * step of each segment at each t, segment by
-    segment, as a (len(starts) * len(ts), dim) array."""
-    pts = starts[:, None] + ts[:, None] * steps[:, None]
-    return pts.reshape(-1, starts.shape[-1])
+    segment, as a (len(starts) * len(ts), dim) array; for stacked
+    segments (G, ns, dim), as (G, ns * len(ts), dim)."""
+    pts = starts[..., None, :] + ts[:, None] * steps[..., None, :]
+    return pts.reshape(starts.shape[:-2] + (-1, starts.shape[-1]))
 
 
 def polygon_quadrature(points, star_center, degree):
-    """Fan quadrature over a polygon star-shaped about star_center."""
+    """Fan quadrature over a polygon star-shaped about star_center, or
+    over a stack of polygons with one vertex count: points (G, nv, 2) and
+    star_center (G, 2)."""
     c = np.asarray(star_center, dtype=float)
-    E = np.empty((len(points), 2, 2))
-    E[:, 0] = np.asarray(points, dtype=float) - c
-    E[:-1, 1] = E[1:, 0]
-    E[-1, 1] = E[0, 0]
-    jac = E[:, 0, 0] * E[:, 1, 1] - E[:, 1, 0] * E[:, 0, 1]
+    E = np.empty(np.shape(points)[:-1] + (2, 2))
+    E[..., 0, :] = np.asarray(points, dtype=float) - c[..., None, :]
+    E[..., :-1, 1, :] = E[..., 1:, 0, :]
+    E[..., -1, 1, :] = E[..., 0, 0, :]
+    jac = E[..., 0, 0] * E[..., 1, 1] - E[..., 1, 0] * E[..., 0, 1]
     return _fan_quadrature(c, E, jac, degree)
 
 
@@ -218,18 +237,21 @@ def polygon_quadrature(points, star_center, degree):
 
 
 def mass_matrix(basis, qp, qw):
-    """H with H[a, b] = integral of m_a m_b, from a quadrature rule."""
+    """H with H[a, b] = integral of m_a m_b, from a quadrature rule; for a
+    stacked basis, one H per rule of the stack."""
     vals = basis.eval(qp)
-    H = (vals.T * qw) @ vals
-    return 0.5 * (H + H.T)
+    H = np.swapaxes(vals * qw[..., None], -1, -2) @ vals
+    return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
 def stiffness_from_mass(basis, H):
     """Gt with Gt[a, b] = integral of grad m_a . grad m_b, exactly from H."""
+    maps = basis.derivative_maps()
     Gt = np.zeros_like(H)
-    for D in basis.derivative_maps():
-        Gt += D @ H @ D.T
-    return 0.5 * (Gt + Gt.T)
+    for d in range(basis.dim):
+        D = maps[..., d, :, :]
+        Gt += D @ H @ np.swapaxes(D, -1, -2)
+    return 0.5 * (Gt + np.swapaxes(Gt, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +293,10 @@ def edge_gauss_lagrange(k):
 
 
 def orthonormal_change(H):
-    """Upper-triangular R with positive diagonal and R^T H R = I.
+    """Upper-triangular R with positive diagonal and R^T H R = I, for one
+    H or a stack of them.
 
     Applying R as a change of basis turns the monomials into an H-orthonormal
     family, which keeps projector solves well conditioned on stretched cells.
     """
-    L = scipy.linalg.cholesky(H, lower=True)
-    Linv = scipy.linalg.solve_triangular(L, np.eye(len(H)), lower=True)
-    return Linv.T
+    return np.swapaxes(np.linalg.inv(np.linalg.cholesky(H)), -1, -2)

@@ -8,13 +8,14 @@ the finest levels, and optionally writes a CSV/JSON/gnuplot report.
 import dataclasses
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 
 from . import polybasis as pb
 from .mesh import generate_cube_mesh, generate_square_mesh, quality_report
-from .system import assemble, interpolate_global
+from .system import _stacks, assemble, interpolate_global
 
 ERROR_KEYS = ("energy", "h1_pinabla", "h1_pizero", "l2_pizero",
               "l2_pinabla", "linf_edge")
@@ -182,27 +183,36 @@ def compute_errors(mesh, k, system, x_full, case, interp=None,
     edge-trace error.
 
     The projected norms use the degree 2k + 4 rule (raised by
-    quad_increase) on each cell's star fan. The gradient of m . c is
-    m . (D_d^T c) with the basis' derivative maps D_d, so one product
-    of the basis values with [C, D_1^T C, ..., D_dim^T C], where C
-    holds the coefficients of both projections, gives the values and
-    gradients of both at every point.
+    quad_increase) on each cell's star fan, stack by stack of cells. The
+    gradient of m . c is m . (D_d^T c) with the basis' derivative maps
+    D_d, so one product of the basis values with [C, D_1^T C, ...,
+    D_dim^T C], where C holds the coefficients of both projections, gives
+    the values and gradients of both at every point. The cells' squared
+    errors are summed in cell order.
     """
     degree = 2 * k + 4 + quad_increase
+    dim = mesh.dim
+    # per cell (value, then each partial derivative) x (pinabla, pizero)
+    per_cell = np.empty((len(system.elements), 1 + dim, 2))
+    for st, cells in _stacks(system.elements):
+        dofs = x_full[np.array([system.dofmap.cell_dofs(i) for i in cells])]
+        qp, qw = st.volume_quadrature(degree)
+        C = np.stack([st.pi_nabla_star @ dofs[..., None],
+                      st.pi_zero @ dofs[..., None]], axis=-1)[..., 0, :]
+        D = st.basis.derivative_maps()
+        stack = np.concatenate(
+            [C] + [np.swapaxes(D[:, d], -1, -2) @ C for d in range(dim)],
+            axis=-1)
+        fields = (st.basis.eval(qp) @ stack).reshape(qw.shape + (-1, 2))
+        pts = qp.reshape(-1, dim)
+        fields[..., 0, :] -= np.asarray(case.u(pts)).reshape(qw.shape)[..., None]
+        fields[..., 1:, :] -= np.asarray(case.grad(pts)).reshape(
+            qw.shape + (dim, 1))
+        sq = qw[:, None] @ fields.reshape(qw.shape + (-1,)) ** 2
+        per_cell[cells] = sq.reshape(-1, 1 + dim, 2)
+    total = per_cell.sum(axis=0)
     # rows h1, l2; columns pinabla, pizero
-    acc = np.zeros((2, 2))
-    for i, el in enumerate(system.elements):
-        dofs = x_full[system.dofmap.cell_dofs(i)]
-        qp, qw = el.volume_quadrature(degree)
-        C = np.stack([el.pi_nabla_star @ dofs, el.pi_zero @ dofs], axis=1)
-        D = el.basis.derivative_maps()
-        stack = np.hstack([C, *(D.transpose(0, 2, 1) @ C)])
-        # (q, 1 + dim, 2): value, then each partial derivative, of both
-        fields = (el.basis.eval(qp) @ stack).reshape(len(qw), -1, 2)
-        fields[:, 0] -= np.asarray(case.u(qp))[:, None]
-        fields[:, 1:] -= np.asarray(case.grad(qp))[:, :, None]
-        sq = (qw @ fields.reshape(len(qw), -1) ** 2).reshape(-1, 2)
-        acc += [sq[1:].sum(axis=0), sq[0]]
+    acc = [total[1:].sum(axis=0), total[0]]
     errs = {f"{norm}_{tag}": math.sqrt(max(float(val), 0.0))
             for norm, row in zip(("h1", "l2"), acc)
             for tag, val in zip(("pinabla", "pizero"), row)}
@@ -307,19 +317,35 @@ def run_study(config):
     case = get_case(config.case, config.dim, k=config.k)
     rows = []
     for n in config.levels:
+        timings = {}
+        clock = time.perf_counter()
+
+        def lap(stage):
+            nonlocal clock
+            now = time.perf_counter()
+            timings[stage] = now - clock
+            clock = now
+
         family = _family_at_level(config.family, n)
         if config.dim == 2:
             mesh = generate_square_mesh(n, family)
         else:
             mesh = generate_cube_mesh(n, family)
+        lap("mesh")
         quality = quality_report(mesh)
+        lap("quality")
         system = assemble(mesh, config.k, config.stab, f=case.f)
+        lap("assemble")
         interp = interpolate_global(mesh, config.k, case.u,
                                     system.elements, system.dofmap)
+        lap("interpolate")
         if case.mode == "inject":
             system.apply_boundary_values(interp)
+        lap("dirichlet")
         x, info = system.solve()
+        lap("solve")
         errs = compute_errors(mesh, config.k, system, x, case, interp)
+        lap("errors")
         row = {"n": int(n),
                "h": float(max(el.geometry.h for el in system.elements)),
                "ndof": int(system.dofmap.n_total),
@@ -333,6 +359,8 @@ def run_study(config):
                          "converged": bool(info.converged),
                          "iterations": int(info.iterations),
                          "residual": float(info.residual)}
+        # seconds per stage; report.json only, the CSV stays reproducible
+        row["timings"] = timings
         rows.append(row)
 
     hs = [row["h"] for row in rows]

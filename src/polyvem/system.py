@@ -15,7 +15,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from . import polybasis as pb
-from .element2d import Element2D, _moments
+from .element2d import Element2D, stack_elements
 from .element3d import Element3D
 from .mesh import polygon_geometry
 
@@ -116,14 +116,34 @@ class GlobalDofMap:
 
 def build_elements(dofmap):
     """The local element of every cell; in 3D the cells share one face
-    element per mesh face, built on the face's chart."""
+    element per mesh face, built on the face's chart. The polygons' (2D
+    cells', 3D faces') numbers are computed in stacks (stack_elements)."""
     mesh, k = dofmap.mesh, dofmap.k
     if mesh.dim == 2:
-        return [Element2D(polygon_geometry(mesh.cell_points(i)), k)
-                for i in range(mesh.n_cells)]
+        cells = [Element2D(polygon_geometry(mesh.cell_points(i)), k)
+                 for i in range(mesh.n_cells)]
+        stack_elements(cells)
+        return cells
     faces = [Element2D(mesh.face_chart(fid)[1], k)
              for fid in range(mesh.n_faces)]
+    stack_elements(faces)
     return [Element3D(dofmap, i, faces) for i in range(mesh.n_cells)]
+
+
+def _stacks(elements):
+    """The stacks behind a list of elements, in order of first use, each
+    with the positions of its members in the list, in stack order. The
+    list holds whole stacks, as build_elements returns them; a 3D cell is
+    a stack of its own."""
+    where = {}
+    for i, el in enumerate(elements):
+        where.setdefault(el._stack, {})[el._index] = i
+    out = []
+    for st, found in where.items():
+        if len(found) != len(st.measure):
+            raise ValueError("elements must hold every element of a stack")
+        out.append((st, np.array([found[j] for j in range(len(found))])))
+    return out
 
 
 class GlobalSystem:
@@ -174,21 +194,30 @@ def assemble(mesh, k, stabilization=None, f=None):
     dofmap = GlobalDofMap(mesh, k)
     elements = build_elements(dofmap)
 
-    rows, cols, vals = [], [], []
-    b_full = np.zeros(dofmap.n_total)
-    for i, el in enumerate(elements):
-        idx = dofmap.cell_dofs(i)
-        K = (el.local_stiffness(stabilization) if mesh.dim == 2
-             else el.local_stiffness())
-        n = len(idx)
-        rows.append(np.repeat(idx, n))
-        cols.append(np.tile(idx, n))
-        vals.append(K.ravel())
+    # the COO entries and load entries of each cell sit at its offset in
+    # cell order, so duplicates are summed in cell order
+    sizes = np.array([len(dofmap.cell_dofs(i)) for i in range(mesh.n_cells)])
+    offsets = np.concatenate([[0], np.cumsum(sizes ** 2)])
+    rows, cols = np.empty((2, offsets[-1]), dtype=int)
+    vals = np.empty(offsets[-1])
+    load_offsets = np.concatenate([[0], np.cumsum(sizes)])
+    load_dofs = np.empty(load_offsets[-1], dtype=int)
+    loads = np.empty(load_offsets[-1])
+    for st, cells in _stacks(elements):
+        idx = np.array([dofmap.cell_dofs(i) for i in cells])
+        n = idx.shape[1]
+        at = offsets[cells, None] + np.arange(n * n)
+        vals[at] = st.local_stiffness(stabilization).reshape(len(cells), -1)
+        rows[at] = np.repeat(idx, n, axis=1)
+        cols[at] = np.tile(idx, n)
         if f is not None:
-            b_full[idx] += el.local_load(f)
+            at = load_offsets[cells, None] + np.arange(n)
+            load_dofs[at] = idx
+            loads[at] = st.local_load(f)
     A_full = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dofmap.n_total, dofmap.n_total)).tocsr()
+        (vals, (rows, cols)), shape=(dofmap.n_total, dofmap.n_total)).tocsr()
+    b_full = (np.bincount(load_dofs, loads, minlength=dofmap.n_total)
+              if f is not None else np.zeros(dofmap.n_total))
 
     return GlobalSystem(mesh, k, dofmap, elements, A_full, b_full)
 
@@ -247,7 +276,9 @@ def interpolate_global(mesh, k, func, elements, dofmap):
 
     Each dof is filled once: every node value from one call on
     dofmap.node_points, then the moments of each polygon (the cells in
-    2D, the faces through their charts in 3D) and in 3D of each cell.
+    2D, the faces through their charts in 3D) and in 3D of each cell,
+    stack by stack. func is called once per polygon and cell, on its own
+    volume points, so that each moment rounds as if computed alone.
     """
     x = np.empty(dofmap.n_total)
     x[:len(dofmap.node_points)] = func(dofmap.node_points)
@@ -256,10 +287,16 @@ def interpolate_global(mesh, k, func, elements, dofmap):
     if mesh.dim == 3:
         faces = {fid: fel for el in elements for (fid, _), fel
                  in zip(mesh.cells[el.cell_id], el._faces)}
-        for fid, fel in faces.items():
-            frame = mesh.face_chart(fid)[0]
-            x[dofmap.face_dofs(fid)[fel.layout.n_boundary:]] = _moments(
-                fel, lambda q2: func(frame.to3d(q2)))
-    for i, el in enumerate(elements):
-        x[dofmap.cell_dofs(i)[el.layout.n_boundary:]] = _moments(el, func)
+        fids = sorted(faces)
+        for st, where in _stacks([faces[fid] for fid in fids]):
+            frames = [mesh.face_chart(fids[j])[0] for j in where]
+            values = np.array([func(frame.to3d(q2))
+                               for frame, q2 in zip(frames, st._qp)],
+                              dtype=float)
+            idx = np.array([dofmap.face_dofs(fids[j]) for j in where])
+            x[idx[:, st.layout.n_boundary:]] = st.moments(values)
+    for st, cells in _stacks(elements):
+        values = np.array([func(q) for q in st._qp], dtype=float)
+        idx = np.array([dofmap.cell_dofs(i) for i in cells])
+        x[idx[:, st.layout.n_boundary:]] = st.moments(values)
     return x

@@ -418,13 +418,18 @@ def edge_case_elements(monkeypatch, k):
     seen = []
     solve = element2d._solve_projectors
 
-    def spy(el, B, mean_dof, mean_mono):
-        seen.append(dict(B=B.copy(), mean_dof=mean_dof.copy(),
-                         mean_mono=mean_mono.copy()))
-        solve(el, B, mean_dof, mean_mono)
+    def spy(st, B, mean_dof, mean_mono):
+        # each element is a stack of one
+        seen.append(dict(B=B[0].copy(), mean_dof=mean_dof[0].copy(),
+                         mean_mono=mean_mono[0].copy()))
+        solve(st, B, mean_dof, mean_mono)
 
     monkeypatch.setattr(element2d, "_solve_projectors", spy)
+    # a standalone element is built on first use
     els = [Element2D(pm.polygon_geometry(pts), k) for pts in edge_cases()]
+    for el in els:
+        assert el.pi_zero is not None
+    assert len(seen) == len(els)
     return list(zip(els, seen))
 
 

@@ -396,6 +396,34 @@ def test_cli_mesh_gen_and_check(tmp_path):
     assert main(["mesh", "check", "--in", str(out3)]) == 0
 
 
+def test_cli_mesh_check_prints_quality_extremes(tmp_path, capsys):
+    from polyvem.cli import main
+
+    out = tmp_path / "m.json"
+    assert main(["mesh", "gen", "--n", "4", "--family", "smalledge(0.01)",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["mesh", "check", "--in", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ok: dim=2")
+    fields = dict(line.split(": ") for line in lines[1:])
+    assert set(fields) == {"max tau", "min rho"}
+    # the short piece of a split segment is 1/99 of the long one
+    assert math.isclose(float(fields["max tau"]), 99.0, rel_tol=1e-9)
+    rho = pm.quality_report(pm.load_mesh(out)).rho
+    assert 0.0 < float(fields["min rho"]) == pytest.approx(rho.min())
+
+    out3 = tmp_path / "m3.json"
+    assert main(["mesh", "gen", "--dim", "3", "--n", "2", "--family",
+                 "facesplit(0.25)", "--out", str(out3)]) == 0
+    capsys.readouterr()
+    assert main(["mesh", "check", "--in", str(out3)]) == 0
+    fields = dict(line.split(": ")
+                  for line in capsys.readouterr().out.splitlines()[1:])
+    assert set(fields) == {"max tau", "min rho", "max tau_face"}
+    assert math.isclose(float(fields["max tau_face"]), 3.0, rel_tol=1e-9)
+
+
 def test_cli_mesh_check_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 2, "vertices": [[0,0],[1,0]], "cells": [[0,1]]}')

@@ -281,6 +281,21 @@ def test_run_study_report_files(tmp_path):
     assert report["slopes"]["l2_pizero"] == data["slopes"]["l2_pizero"]
 
 
+@pytest.mark.parametrize("dim,case,family", [(2, "patch", "distorted(2)"),
+                                             (3, "sine", "uniform")])
+def test_run_study_report_stage_timings(tmp_path, dim, case, family):
+    # every level row of report.json says where its time went
+    report = run_small_study(tmp_path, dim=dim, case=case, family=family,
+                             stab=None, levels=[1, 2])
+    data = json.loads((tmp_path / "out" / "report.json").read_text())
+    stages = {"mesh", "quality", "assemble", "interpolate", "dirichlet",
+              "solve", "errors"}
+    for row in report["levels"] + data["levels"]:
+        assert set(row["timings"]) == stages
+        assert all(math.isfinite(t) and t >= 0.0
+                   for t in row["timings"].values())
+
+
 def test_run_study_csv_bytes_deterministic(tmp_path):
     run_small_study(tmp_path, out=str(tmp_path / "a"), levels=[2, 4, 8])
     run_small_study(tmp_path, out=str(tmp_path / "b"), levels=[2, 4, 8])

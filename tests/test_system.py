@@ -386,3 +386,86 @@ def test_homogeneous_solve_positive_interior():
     assert info.converged
     free = sys_.dofmap.free
     assert x[free[0]] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# elements computed in stacks
+
+
+def wave(p):
+    # pointwise only, so its values do not depend on how points are batched
+    return np.sin(3.0 * p[:, 0] + p[:, 1])
+
+
+@pytest.mark.parametrize("family", ["hanging", "smalledge(0.1)"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_stacked_elements_equal_elements_built_alone(family, k):
+    # hanging has cells with 4, 6, 7 and 8 vertices
+    m = pm.generate_square_mesh(4, family)
+    stacked = ps.build_elements(ps.GlobalDofMap(m, k))
+    assert max(len(el._stack.measure) for el in stacked) > 1
+    for i, el in enumerate(stacked):
+        alone = element2d.Element2D(pm.polygon_geometry(m.cell_points(i)), k)
+        assert len(alone._stack.measure) == 1
+        for name in ("pi_nabla_star", "pi_nabla", "pi_zero"):
+            assert np.array_equal(getattr(el, name), getattr(alone, name))
+        for kind in ("s1", "s2", "s2tilde"):
+            assert np.array_equal(el.local_stiffness(kind),
+                                  alone.local_stiffness(kind))
+        assert np.array_equal(el.local_load(wave), alone.local_load(wave))
+
+
+def solved(family, k):
+    """A solved sine level: the system, its solution and error norms."""
+    m = pm.generate_square_mesh(4, family)
+    case = st.get_case("sine", 2)
+    case.f = lambda p: 2.0 * np.pi ** 2 * wave(p)
+    sys_ = ps.assemble(m, k, f=case.f)
+    x, _ = sys_.solve()
+    return sys_, st.compute_errors(m, k, sys_, x, case)
+
+
+@pytest.mark.parametrize("family,k", [("hanging", 2), ("smalledge(0.1)", 3)])
+def test_stacks_split_into_chunks_give_the_same_level(monkeypatch, family,
+                                                      k):
+    whole_sys, whole_errs = solved(family, k)
+    # two or three cells per chunk: every group of the mesh is split
+    per_cell = 4 * len(pb.simplex_rule(2, 2 * k + 4)[1])
+    monkeypatch.setattr(element2d, "CHUNK_POINTS", 2 * per_cell)
+    split_sys, split_errs = solved(family, k)
+    sizes = {len(el._stack.measure) for el in split_sys.elements}
+    assert max(sizes) < min(len(el._stack.measure)
+                            for el in whole_sys.elements[:4])
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(split_sys.A_full, name),
+                              getattr(whole_sys.A_full, name))
+    assert np.array_equal(split_sys.b, whole_sys.b)
+    assert split_errs == whole_errs
+
+
+@pytest.mark.parametrize("dim,family,n", [(2, "hanging", 4),
+                                          (3, "facesplit(0.25)", 2)])
+def test_one_element_per_polygon_and_one_stack_per_chunk(monkeypatch, dim,
+                                                         family, n):
+    m = (pm.generate_square_mesh(n, family) if dim == 2
+         else pm.generate_cube_mesh(n, family))
+    polygons = ([m.cell_points(i) for i in range(m.n_cells)] if dim == 2
+                else [m.face_points(f) for f in range(m.n_faces)])
+    k = 2
+    counts = {}
+    for pts in polygons:
+        counts[len(pts)] = counts.get(len(pts), 0) + 1
+    monkeypatch.setattr(element2d, "CHUNK_POINTS", 1000)
+    per_cell = len(pb.simplex_rule(2, 2 * k + 4)[1])
+    chunks = sum(-(-count // max(1, 1000 // (nv * per_cell)))
+                 for nv, count in counts.items())
+    calls = {"element": 0, "stack": 0}
+    for cls, key in ((element2d.Element2D, "element"),
+                     (element2d.PolygonStack, "stack")):
+        def counted(self, *args, _init=cls.__init__, _key=key):
+            calls[_key] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    ps.assemble(m, k)
+    assert calls == {"element": len(polygons), "stack": chunks}
+    assert chunks > len(counts)
