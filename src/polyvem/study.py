@@ -205,7 +205,8 @@ def compute_errors(mesh, k, system, x_full, case, interp=None,
             axis=-1)
         fields = (st.basis.eval(qp) @ stack).reshape(qw.shape + (-1, 2))
         pts = qp.reshape(-1, dim)
-        fields[..., 0, :] -= np.asarray(case.u(pts)).reshape(qw.shape)[..., None]
+        fields[..., 0, :] -= np.asarray(case.u(pts)).reshape(
+            qw.shape + (1,))
         fields[..., 1:, :] -= np.asarray(case.grad(pts)).reshape(
             qw.shape + (dim, 1))
         sq = qw[:, None] @ fields.reshape(qw.shape + (-1,)) ** 2
