@@ -13,7 +13,8 @@ leading axis, and an Element2D is a view of one polygon in its stack.
 stack_elements groups elements by vertex count and cuts each group into
 chunks of whole polygons of at most CHUNK_POINTS points of the error rule,
 so the stacked temporaries stay small. A standalone Element2D is a stack
-of one, built on first use.
+of one, built on first use. ElementStack holds what the polygons share
+with the polyhedra (element3d): stiffness, load and moments.
 """
 
 import functools
@@ -25,6 +26,13 @@ from . import polybasis as pb
 # the most points of the degree 2k + 4 error rule in one stack, about as
 # many as one hexahedral cell with octagonal faces has at k = 2
 CHUNK_POINTS = 6000
+
+
+def _chunk_size(n_simplices, dim, degree):
+    """How many whole elements with n_simplices simplices in their fans
+    fit CHUNK_POINTS points of the degree rule; at least one."""
+    per_element = n_simplices * len(pb.simplex_rule(dim, degree)[1])
+    return max(1, CHUNK_POINTS // per_element)
 
 
 class DofLayout:
@@ -98,9 +106,16 @@ class ElementStack:
 
     A subclass supplies k, layout, measure (G,), a stacked basis, H, Gt,
     the projectors of _solve_projectors, the volume rule _qp, _qw of
-    degree 2k, volume_quadrature(degree) and stabilization_matrix(kind);
+    degree 2k, n_simplices (the simplices of each element's star fan),
+    volume_quadrature(degree, part) and stabilization_matrix(kind);
     every array has the G elements on its first axis.
     """
+
+    def parts(self, degree):
+        """Slices of whole elements covering the stack, each with at most
+        CHUNK_POINTS points of the degree rule."""
+        size = _chunk_size(self.n_simplices, self.basis.dim, degree)
+        return [slice(i, i + size) for i in range(0, len(self.measure), size)]
 
     def local_stiffness(self, kind):
         """Projected stiffness plus the stabilized residual part."""
@@ -116,33 +131,36 @@ class ElementStack:
         called once, on the volume points of the whole stack."""
         lay = self.layout
         if self.k == 1:
-            C, nj = self.pi_zero, self.basis.n
+            C, degree = self.pi_zero, 1
         elif self.k == 2:
-            nj = pb.n_poly(self.basis.dim, 1)
+            degree, nj = 1, pb.n_poly(self.basis.dim, 1)
             C = np.linalg.solve(self.H[:, :nj, :nj],
                                 self.H[:, :nj] @ self.pi_zero)
         else:
             # for k >= 3 the degree k-2 moments are stored dofs
-            nj = nm = lay.n_moment
+            degree, nm = self.k - 2, lay.n_moment
             C = np.zeros((len(self.measure), nm, lay.n_total))
             C[..., -nm:] = (self.measure[:, None, None]
                             * np.linalg.inv(self.H[:, :nm, :nm]))
         qp = self._qp
         fvals = np.asarray(f(qp.reshape(-1, qp.shape[-1])), dtype=float)
-        mvec = self._integrals(fvals.reshape(qp.shape[:-1]), nj)
+        mvec = self._integrals(fvals.reshape(qp.shape[:-1]), degree)
         return (np.swapaxes(C, -1, -2) @ mvec[..., None])[..., 0]
 
     def moments(self, fvals):
         """The scaled moments against the first layout.n_moment monomials
         of functions with values fvals (G, npts) at the points _qp."""
-        return (self._integrals(fvals, self.layout.n_moment)
-                / self.measure[:, None])
+        return (self._integrals(fvals, self.k - 2) / self.measure[:, None])
 
-    def _integrals(self, fvals, n):
+    def _integrals(self, fvals, degree):
+        # the monomials up to the degree lead the basis in graded order,
+        # and a basis of that degree gives their values bit for bit
+        basis = pb.ScaledMonomialBasis(self.basis.dim, degree,
+                                       self.basis.center, self.basis.scale)
         # the values times the weights, transposed, so that each element's
         # product has the layout (and rounding) of a single element's
-        vals = self.basis.eval(self._qp)[..., :n]
-        weighted = np.swapaxes(vals * self._qw[..., None], -1, -2)
+        weighted = np.swapaxes(basis.eval(self._qp) * self._qw[..., None],
+                               -1, -2)
         return (weighted @ fvals[..., None])[..., 0]
 
 
@@ -170,6 +188,7 @@ class PolygonStack(ElementStack):
         self.layout, self.edge_dofs = first.layout, first._edge_dofs
         polys = [el.geometry for el in elements]
         self.points = np.array([p.points for p in polys])
+        self.n_simplices = self.points.shape[1]
         self.tangents = np.array([p.tangents for p in polys])
         self.lengths = np.array([p.lengths for p in polys])
         self.normals = np.array([p.normals for p in polys])
@@ -194,9 +213,11 @@ class PolygonStack(ElementStack):
         for i, el in enumerate(elements):
             el._stack, el._index = self, i
 
-    def volume_quadrature(self, degree):
-        """A quadrature rule over each polygon, exact to the degree."""
-        return pb.polygon_quadrature(self.points, self.star_center, degree)
+    def volume_quadrature(self, degree, part=slice(None)):
+        """A quadrature rule over each polygon of the part, exact to the
+        degree."""
+        return pb.polygon_quadrature(self.points[part],
+                                     self.star_center[part], degree)
 
     def _build_projectors(self):
         k, n, N = self.k, self.basis.n, self.layout.n_total
@@ -266,18 +287,44 @@ def stack_elements(elements):
     for el in elements:
         groups.setdefault((len(el.geometry.points), el.k), []).append(el)
     for (nv, k), members in groups.items():
-        per_cell = nv * len(pb.simplex_rule(2, 2 * k + 4)[1])
-        size = max(1, CHUNK_POINTS // per_cell)
+        size = _chunk_size(nv, 2, 2 * k + 4)
         for i in range(0, len(members), size):
             PolygonStack(members[i:i + size])
 
 
-# the attributes an Element2D reads from its stack, one polygon's slice
-_STACKED = ("H", "Gt", "d_mat", "pi_nabla_star", "pi_nabla", "pi_zero",
-            "_qp", "_qw", "_node_points")
+class ElementView:
+    """An element as a view of its slice of a stack (an ElementStack):
+    the attributes named in _STACKED and its basis are read from the
+    stack on first use, and an element first used without a stack
+    becomes a stack of its own, of the subclass' _stack_class.
+    """
+
+    _STACKED = ("H", "Gt", "d_mat", "pi_nabla_star", "pi_nabla", "pi_zero",
+                "_qp", "_qw", "_node_points")
+
+    def __getattr__(self, name):
+        # only reached for attributes not set yet: the stack and its slices
+        if name in ("_stack", "_index"):
+            self._stack_class([self])
+            return self.__dict__[name]
+        if name == "basis":
+            st, i = self._stack, self._index
+            value = pb.ScaledMonomialBasis(st.basis.dim, self.k,
+                                           st.basis.center[i],
+                                           st.basis.scale[i])
+        elif name in self._STACKED:
+            value = getattr(self._stack, name)[self._index]
+        else:
+            raise AttributeError(name)
+        self.__dict__[name] = value
+        return value
+
+    def local_load(self, f):
+        """Right hand side integrals of f against the projected dofs."""
+        return self._stack.local_load(f)[self._index]
 
 
-class Element2D:
+class Element2D(ElementView):
     """Degree-k virtual element on a star-shaped polygon, built from the
     polygon's record (mesh.polygon_geometry): its geometry, vertices and
     edge table.
@@ -288,33 +335,14 @@ class Element2D:
     computed for its whole stack, of which it returns its own.
     """
 
+    _stack_class = PolygonStack
+
     def __init__(self, polygon, k):
         if k < 1:
             raise ValueError("polynomial degree must be at least 1")
         self.k = k
         self.geometry = polygon
         self.layout, self._edge_dofs = _polygon_dofs(len(polygon.points), k)
-
-    def __getattr__(self, name):
-        # only reached for attributes not set yet: the stack and its slices
-        if name in ("_stack", "_index"):
-            PolygonStack([self])
-            return self.__dict__[name]
-        if name == "basis":
-            st, i = self._stack, self._index
-            value = pb.ScaledMonomialBasis(2, self.k, st.basis.center[i],
-                                           st.basis.scale[i])
-        elif name in _STACKED:
-            value = getattr(self._stack, name)[self._index]
-        else:
-            raise AttributeError(name)
-        self.__dict__[name] = value
-        return value
-
-    def volume_quadrature(self, degree):
-        """A quadrature rule over the polygon, exact to the degree."""
-        return pb.polygon_quadrature(self.geometry.points,
-                                     self.geometry.star_center, degree)
 
     def stabilization_matrix(self, kind):
         """Stabilizing inner product on the dofs; see
@@ -324,10 +352,6 @@ class Element2D:
     def local_stiffness(self, kind):
         """Projected stiffness plus the stabilized residual part."""
         return self._stack.local_stiffness(kind)[self._index]
-
-    def local_load(self, f):
-        """Right hand side integrals of f against the projected dofs."""
-        return self._stack.local_load(f)[self._index]
 
     def seminorm_tbar(self, v):
         """Computable seminorm combining the projected interior part with

@@ -49,12 +49,17 @@ class PolygonGeometry(CellGeometry):
 
 
 def _diameter(points):
-    d = points[:, None, :] - points[None, :, :]
-    return math.sqrt(np.max(np.einsum("ijk,ijk->ij", d, d)))
+    """The largest distance between two of the points (m, dim), or per
+    set of a stack (G, m, dim)."""
+    d = points[..., :, None, :] - points[..., None, :, :]
+    return np.sqrt(np.einsum("...ijk,...ijk->...ij", d, d).max(axis=(-2, -1)))
 
 
 def _has_zero_edge(points):
-    return np.any(np.all(points == np.roll(points, -1, axis=0), axis=1))
+    """Whether an edge of the loop has zero length, or one whose square
+    underflows to zero."""
+    tang = np.roll(points, -1, axis=0) - points
+    return not np.all(np.einsum("ij,ij->i", tang, tang) > 0.0)
 
 
 def _edge_table(points):
@@ -292,8 +297,12 @@ class PolyhedralMesh3:
         """
         chart = self._charts.get(fid)
         if chart is None:
-            frame = FaceFrame(self.face_points(fid))
-            geom = polygon_geometry(frame.to2d(self.face_points(fid)))
+            pts3 = self.face_points(fid)
+            # the frame would divide by such an edge's length
+            if _has_zero_edge(pts3):
+                raise MeshError(f"face {fid} has a zero-length edge")
+            frame = FaceFrame(pts3)
+            geom = polygon_geometry(frame.to2d(pts3))
             chart = self._charts[fid] = (frame, geom)
         return chart
 
@@ -309,21 +318,6 @@ class PolyhedralMesh3:
         for pts3, frame, geom, sign in self._oriented_face_data(i):
             vol += sign * (pts3[0] @ frame.normal) * geom.measure
         return vol / 3.0
-
-    def _fan_tetrahedra(self, i, star):
-        """The star fan of cell i: tets (star, p, q, face star) over each
-        stored face edge p -> q, with the sign (+1 or -1) of each tet's
-        orientation, so that sign * det(tet - star) / 6 is its volume."""
-        tets, signs = [], []
-        for pts3, frame, geom, sign in self._oriented_face_data(i):
-            fan = np.empty((len(pts3), 4, 3))
-            fan[:, 0] = star
-            fan[:, 1] = pts3
-            fan[:, 2] = np.roll(pts3, -1, axis=0)
-            fan[:, 3] = frame.to3d(geom.star_center)[0]
-            tets.append(fan)
-            signs.append(np.full(len(pts3), float(sign)))
-        return np.concatenate(tets), np.concatenate(signs)
 
     def validate(self):
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
@@ -384,31 +378,63 @@ def _kernel_halfspaces(mesh, i):
 
 def cell_geometry(mesh, i):
     """CellGeometry of one cell, in either dimension: a polygon's record
-    in 2D (see star_fan for a polyhedron's)."""
+    in 2D, a polyhedron's star fan geometry (star_fan) in 3D."""
     if mesh.dim == 2:
         return polygon_geometry(mesh.cell_points(i))
-    return star_fan(mesh, i)[0]
+    g = star_fan(mesh, [i])[0]
+    return CellGeometry(g.h[0], g.measure[0], g.centroid[0],
+                        g.star_center[0])
 
 
-def star_fan(mesh, i):
-    """CellGeometry of polyhedron i with its star fan: per fan tet the
-    edges E[t, j] = (tet vertex j + 1) - star, and |det E[t]|.
+def star_fan(mesh, cells):
+    """The geometry of polyhedra of one face pattern (the vertex counts
+    of their faces, in cell order) and one vertex count, with their star
+    fans: a CellGeometry of arrays over the cells, and per cell c and fan
+    tet t the edges E[c, t, j] = (tet vertex j + 1) - star and |det E[c, t]|.
 
-    The star point is the vertex average when that sees every face from
-    inside, otherwise the Chebyshev center of the kernel; the volume and
-    centroid come from the fan on that point. Raises KernelEmpty when the
-    kernel has no interior point.
+    A fan tet (star, p, q, face star) stands on each stored face edge
+    p -> q. The star point is the vertex average when that sees every
+    face from inside; only the cells where it does not solve the LP for
+    the Chebyshev center of their kernel. The volume and centroid come
+    from the fan on the star point. Raises KernelEmpty when a kernel has
+    no interior point.
     """
-    pts = mesh.cell_points(i)
-    star = _star_point(pts.mean(axis=0), *_kernel_halfspaces(mesh, i),
-                       f"cell {i}")
-    tets, signs = mesh._fan_tetrahedra(i, star)
-    E = tets[:, 1:] - star
+    pts = mesh.vertices[[mesh.cell_vertex_ids(i) for i in cells]]
+    h = _diameter(pts)
+    records = np.array([mesh.cells[i] for i in cells])
+    normals, anchors, fans, fan_signs = [], [], [], []
+    for fids, signs in zip(records[:, :, 0].T, records[:, :, 1].T):
+        frames, geoms = zip(*(mesh.face_chart(fid) for fid in fids))
+        normals.append(signs[:, None]
+                       * np.array([frame.normal for frame in frames]))
+        loop = mesh.vertices[[mesh.faces[fid] for fid in fids]]
+        anchors.append(loop[:, 0])
+        origin = np.array([frame.origin for frame in frames])
+        axes = np.array([frame.axes for frame in frames])
+        sc = np.array([geom.star_center for geom in geoms])
+        # the tets' star vertex is filled in below
+        fan = np.empty(loop.shape[:2] + (4, 3))
+        fan[:, :, 1] = loop
+        fan[:, :, 2] = np.roll(loop, -1, axis=1)
+        fan[:, :, 3] = (origin + (sc[:, None, :] @ axes)[:, 0])[:, None, :]
+        fans.append(fan)
+        fan_signs.append(np.repeat(signs[:, None], loop.shape[1], axis=1))
+    normals, anchors = np.stack(normals, axis=1), np.stack(anchors, axis=1)
+    star = pts.mean(axis=1)
+    slack = np.einsum("gij,gij->gi", normals, star[:, None, :] - anchors)
+    for g in np.flatnonzero(~(slack.max(axis=1) <= -1e-9 * h)):
+        star[g] = _star_point(star[g], normals[g], anchors[g], h[g],
+                              f"cell {cells[g]}")
+
+    tets = np.concatenate(fans, axis=1)
+    tets[:, :, 0] = star[:, None, :]
+    signs = np.concatenate(fan_signs, axis=1)
+    E = tets[:, :, 1:] - star[:, None, None, :]
     det = np.linalg.det(E)
     vols = signs * det / 6.0
-    vol = vols.sum()
-    centroid = vols @ tets.mean(axis=1) / vol
-    return CellGeometry(_diameter(pts), vol, centroid, star), E, np.abs(det)
+    vol = vols.sum(axis=1)
+    centroid = (vols[:, None, :] @ tets.mean(axis=2))[:, 0] / vol[:, None]
+    return CellGeometry(h, vol, centroid, star), E, np.abs(det)
 
 
 # ---------------------------------------------------------------------------

@@ -52,10 +52,14 @@ def _sine_case(dim):
         s = np.sin(pi * p)
         c = np.cos(pi * p)
         # the product of the sines other than s[:, d]: the product of
-        # those before d times the product of those after d
-        ones = np.ones((len(p), 1))
-        before = np.cumprod(np.hstack([ones, s[:, :-1]]), axis=1)
-        after = np.cumprod(np.hstack([ones, s[:, :0:-1]]), axis=1)[:, ::-1]
+        # those before d times the product of those after d, each
+        # multiplied up from 1 outward from d's far side
+        before = np.empty_like(s)
+        after = np.empty_like(s)
+        before[:, 0] = after[:, -1] = 1.0
+        for d in range(1, p.shape[1]):
+            before[:, d] = before[:, d - 1] * s[:, d - 1]
+            after[:, -1 - d] = after[:, -d] * s[:, -d]
         return pi * c * (before * after)
 
     def f(p):
@@ -183,7 +187,8 @@ def compute_errors(mesh, k, system, x_full, case, interp=None,
     edge-trace error.
 
     The projected norms use the degree 2k + 4 rule (raised by
-    quad_increase) on each cell's star fan, stack by stack of cells. The
+    quad_increase) on each cell's star fan, stack by stack of cells, in
+    parts of at most CHUNK_POINTS points (ElementStack.parts). The
     gradient of m . c is m . (D_d^T c) with the basis' derivative maps
     D_d, so one product of the basis values with [C, D_1^T C, ...,
     D_dim^T C], where C holds the coefficients of both projections, gives
@@ -195,22 +200,27 @@ def compute_errors(mesh, k, system, x_full, case, interp=None,
     # per cell (value, then each partial derivative) x (pinabla, pizero)
     per_cell = np.empty((len(system.elements), 1 + dim, 2))
     for st, cells in _stacks(system.elements):
-        dofs = x_full[np.array([system.dofmap.cell_dofs(i) for i in cells])]
-        qp, qw = st.volume_quadrature(degree)
-        C = np.stack([st.pi_nabla_star @ dofs[..., None],
-                      st.pi_zero @ dofs[..., None]], axis=-1)[..., 0, :]
-        D = st.basis.derivative_maps()
-        stack = np.concatenate(
-            [C] + [np.swapaxes(D[:, d], -1, -2) @ C for d in range(dim)],
-            axis=-1)
-        fields = (st.basis.eval(qp) @ stack).reshape(qw.shape + (-1, 2))
-        pts = qp.reshape(-1, dim)
-        fields[..., 0, :] -= np.asarray(case.u(pts)).reshape(
-            qw.shape + (1,))
-        fields[..., 1:, :] -= np.asarray(case.grad(pts)).reshape(
-            qw.shape + (dim, 1))
-        sq = qw[:, None] @ fields.reshape(qw.shape + (-1,)) ** 2
-        per_cell[cells] = sq.reshape(-1, 1 + dim, 2)
+        x_cells = x_full[np.array([system.dofmap.cell_dofs(i)
+                                   for i in cells])]
+        for part in st.parts(degree):
+            dofs = x_cells[part, :, None]
+            qp, qw = st.volume_quadrature(degree, part)
+            C = np.stack([st.pi_nabla_star[part] @ dofs,
+                          st.pi_zero[part] @ dofs], axis=-1)[..., 0, :]
+            basis = pb.ScaledMonomialBasis(dim, k, st.basis.center[part],
+                                           st.basis.scale[part])
+            D = basis.derivative_maps()
+            stack = np.concatenate(
+                [C] + [np.swapaxes(D[:, d], -1, -2) @ C for d in range(dim)],
+                axis=-1)
+            fields = (basis.eval(qp) @ stack).reshape(qw.shape + (-1, 2))
+            pts = qp.reshape(-1, dim)
+            fields[..., 0, :] -= np.asarray(case.u(pts)).reshape(
+                qw.shape + (1,))
+            fields[..., 1:, :] -= np.asarray(case.grad(pts)).reshape(
+                qw.shape + (dim, 1))
+            sq = qw[:, None] @ fields.reshape(qw.shape + (-1,)) ** 2
+            per_cell[cells[part]] = sq.reshape(-1, 1 + dim, 2)
     total = per_cell.sum(axis=0)
     # rows h1, l2; columns pinabla, pizero
     acc = [total[1:].sum(axis=0), total[0]]

@@ -16,7 +16,7 @@ import scipy.sparse.linalg
 
 from . import polybasis as pb
 from .element2d import Element2D, stack_elements
-from .element3d import Element3D
+from .element3d import Element3D, stack_cells
 from .mesh import polygon_geometry
 
 DIRECT_SOLVER_LIMIT = 50_000
@@ -116,8 +116,9 @@ class GlobalDofMap:
 
 def build_elements(dofmap):
     """The local element of every cell; in 3D the cells share one face
-    element per mesh face, built on the face's chart. The polygons' (2D
-    cells', 3D faces') numbers are computed in stacks (stack_elements)."""
+    element per mesh face, built on the face's chart. The numbers are
+    computed in stacks: the polygons' (2D cells', 3D faces') by
+    stack_elements, the 3D cells' by stack_cells."""
     mesh, k = dofmap.mesh, dofmap.k
     if mesh.dim == 2:
         cells = [Element2D(polygon_geometry(mesh.cell_points(i)), k)
@@ -127,14 +128,15 @@ def build_elements(dofmap):
     faces = [Element2D(mesh.face_chart(fid)[1], k)
              for fid in range(mesh.n_faces)]
     stack_elements(faces)
-    return [Element3D(dofmap, i, faces) for i in range(mesh.n_cells)]
+    cells = [Element3D(dofmap, i, faces) for i in range(mesh.n_cells)]
+    stack_cells(cells)
+    return cells
 
 
 def _stacks(elements):
     """The stacks behind a list of elements, in order of first use, each
     with the positions of its members in the list, in stack order. The
-    list holds whole stacks, as build_elements returns them; a 3D cell is
-    a stack of its own."""
+    list holds whole stacks, as build_elements returns them."""
     where = {}
     for i, el in enumerate(elements):
         where.setdefault(el._stack, {})[el._index] = i

@@ -37,7 +37,9 @@ values and gradients of a basis (direct_eval_and_grad), the one gradient
 reference of the tests. From it, it sums the projected error norms one
 cell and one projector at a time. The package takes the gradients of
 both projections from the derivative maps in one product per cell; its
-norms must equal these to roundoff.
+norms must equal these to roundoff. Those sums take each cell's volume
+rule from the package's fan quadrature, on the cell's polygon in 2D and
+on its element's star fan in 3D.
 
 Run as a script to (re)generate tests/fixtures/klocal_unit_square_k1_*.json.
 """
@@ -48,6 +50,8 @@ from pathlib import Path
 
 import numpy as np
 import scipy.special
+
+from polyvem import polybasis as pb
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -545,7 +549,12 @@ def errors_by_cell(system, x_full, case, degree):
            "l2_pinabla": 0.0, "l2_pizero": 0.0}
     for i, el in enumerate(system.elements):
         dofs = x_full[system.dofmap.cell_dofs(i)]
-        qp, qw = el.volume_quadrature(degree)
+        g = el.geometry
+        if system.mesh.dim == 2:
+            qp, qw = pb.polygon_quadrature(g.points, g.star_center, degree)
+        else:
+            qp, qw = pb._fan_quadrature(g.star_center, el._fan, el._fan_jac,
+                                        degree)
         vals, grads = direct_eval_and_grad(el.basis, qp)
         uex = np.asarray(case.u(qp))
         gex = np.asarray(case.grad(qp))

@@ -336,6 +336,32 @@ def test_zero_length_edge_rejected_3d():
         mesh.validate()
 
 
+def quality_without_warnings(mesh):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return pm.quality_report(mesh)
+
+
+def test_quality_face_with_coincident_first_vertices_raises_mesh_error():
+    # the first two vertices of face 0 coincide; its frame would divide
+    # by the zero length of the first edge
+    cube = pm.generate_cube_mesh(1, "uniform")
+    loop = cube.faces[0]
+    verts = np.vstack([cube.vertices, cube.vertices[loop[0]]])
+    faces = [loop[:1] + [cube.n_vertices] + loop[1:]] + cube.faces[1:]
+    mesh = pm.PolyhedralMesh3(verts, faces, cube.cells)
+    with pytest.raises(pm.MeshError, match="face 0 has a zero-length edge"):
+        quality_without_warnings(mesh)
+
+
+def test_quality_facesplit_underflowing_edges_raise_mesh_error():
+    # eps = 1e-300 puts split vertices on or within 1e-300 of a grid
+    # vertex, so edge lengths are zero or their squares underflow
+    mesh = pm.generate_cube_mesh(2, "facesplit(1e-300)")
+    with pytest.raises(pm.MeshError, match=r"face \d+ has a zero-length edge"):
+        quality_without_warnings(mesh)
+
+
 def test_face_orientation_signs_opposite():
     m = pm.generate_cube_mesh(2, "uniform")
     seen = {}

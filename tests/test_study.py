@@ -79,6 +79,20 @@ def test_sine_gradient_equals_per_dimension_reference_bitwise(dim):
     assert np.array_equal(st.get_case("sine", dim).grad(p), want)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_sine_gradient_equals_cumprod_formula_bitwise(dim):
+    # the prefix and suffix products as cumulative products of the sines
+    # with a leading 1, the case's explicit multiplies in the same order
+    pi = np.pi
+    p = np.random.default_rng(11).uniform(-0.5, 1.5, size=(300, dim))
+    s, c = np.sin(pi * p), np.cos(pi * p)
+    ones = np.ones((len(p), 1))
+    before = np.cumprod(np.hstack([ones, s[:, :-1]]), axis=1)
+    after = np.cumprod(np.hstack([ones, s[:, :0:-1]]), axis=1)[:, ::-1]
+    want = pi * c * (before * after)
+    assert np.array_equal(st.get_case("sine", dim).grad(p), want)
+
+
 @pytest.mark.parametrize("name,dim", [("sine", 2), ("sine", 3), ("corner", 2)])
 def test_case_vanishes_on_boundary(name, dim):
     case = st.get_case(name, dim)

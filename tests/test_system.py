@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import dense_oracle
-from polyvem import element2d
+from polyvem import element2d, element3d
 from polyvem import mesh as pm
 from polyvem import polybasis as pb
 from polyvem import study as st
@@ -415,11 +415,12 @@ def test_stacked_elements_equal_elements_built_alone(family, k):
         assert np.array_equal(el.local_load(wave), alone.local_load(wave))
 
 
-def solved(family, k):
+def solved(family, k, dim=2):
     """A solved sine level: the system, its solution and error norms."""
-    m = pm.generate_square_mesh(4, family)
-    case = st.get_case("sine", 2)
-    case.f = lambda p: 2.0 * np.pi ** 2 * wave(p)
+    m = (pm.generate_square_mesh(4, family) if dim == 2
+         else pm.generate_cube_mesh(2, family))
+    case = st.get_case("sine", dim)
+    case.f = lambda p: dim * np.pi ** 2 * wave(p)
     sys_ = ps.assemble(m, k, f=case.f)
     x, _ = sys_.solve()
     return sys_, st.compute_errors(m, k, sys_, x, case)
@@ -469,3 +470,84 @@ def test_one_element_per_polygon_and_one_stack_per_chunk(monkeypatch, dim,
     ps.assemble(m, k)
     assert calls == {"element": len(polygons), "stack": chunks}
     assert chunks > len(counts)
+
+
+@pytest.mark.parametrize("family", ["uniform", "facesplit(0.05)"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_cells_equal_cells_built_alone(monkeypatch, family, k):
+    # every cell of the level in one stack
+    monkeypatch.setattr(element2d, "CHUNK_POINTS", 10 ** 6)
+    m = pm.generate_cube_mesh(2, family)
+    dofmap = ps.GlobalDofMap(m, k)
+    stacked = ps.build_elements(dofmap)
+    assert {len(el._stack.measure) for el in stacked} == {m.n_cells}
+    faces = {fid: fel for el in stacked
+             for (fid, _), fel in zip(m.cells[el.cell_id], el._faces)}
+    faces = [faces[fid] for fid in range(m.n_faces)]
+    for i, el in enumerate(stacked):
+        alone = element3d.Element3D(dofmap, i, faces)
+        assert len(alone._stack.measure) == 1
+        for name in ("pi_nabla_star", "pi_nabla", "pi_zero"):
+            assert np.array_equal(getattr(el, name), getattr(alone, name))
+        assert np.array_equal(el.stabilization_matrix(),
+                              alone.stabilization_matrix())
+        assert np.array_equal(el.local_stiffness(), alone.local_stiffness())
+        assert np.array_equal(el.local_load(wave), alone.local_load(wave))
+
+
+@pytest.mark.parametrize("family,k", [("uniform", 1), ("facesplit(0.05)", 2)])
+def test_cell_stacks_split_into_chunks_give_the_same_level(monkeypatch,
+                                                           family, k):
+    whole_sys, whole_errs = solved(family, k, dim=3)
+    # two cells per chunk of the degree 2k rule; the error rule then
+    # takes one cell per part
+    fan = 24 if family == "uniform" else 48
+    monkeypatch.setattr(element2d, "CHUNK_POINTS",
+                        2 * fan * len(pb.simplex_rule(3, 2 * k)[1]))
+    split_sys, split_errs = solved(family, k, dim=3)
+    assert {len(el._stack.measure) for el in split_sys.elements} == {2}
+    assert min(len(el._stack.measure) for el in whole_sys.elements) > 2
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(split_sys.A_full, name),
+                              getattr(whole_sys.A_full, name))
+    assert np.array_equal(split_sys.b, whole_sys.b)
+    assert split_errs == whole_errs
+
+
+def cubes_and_prism():
+    """The eight cells of the 2-grid of the unit cube and, beside them, a
+    hexagonal prism as the fourth cell: face patterns of six quadrilaterals
+    and of two hexagons then six quadrilaterals."""
+    cubes = pm.generate_cube_mesh(2, "uniform")
+    hexagon = np.array([[0, 0], [2, 0], [3, 1], [2, 2], [0, 2], [-1, 1]],
+                       float) / 3 + [2.0, 0.0]
+    m, nv, nf = len(hexagon), cubes.n_vertices, cubes.n_faces
+    verts = np.vstack([cubes.vertices,
+                       np.column_stack([hexagon, np.zeros(m)]),
+                       np.column_stack([hexagon, np.ones(m)])])
+    faces = [list(range(nv, nv + m)), list(range(nv + m, nv + 2 * m))]
+    faces += [[nv + a, nv + (a + 1) % m, nv + m + (a + 1) % m, nv + m + a]
+              for a in range(m)]
+    prism = [[nf, -1], [nf + 1, 1]] + [[nf + 2 + a, 1] for a in range(m)]
+    cells = cubes.cells[:3] + [prism] + cubes.cells[3:]
+    return pm.PolyhedralMesh3(verts, cubes.faces + faces, cells).validate()
+
+
+def test_one_cell_stack_per_face_pattern_and_chunk(monkeypatch):
+    m, k = cubes_and_prism(), 2
+    # three cubes (24 fan tets each) per chunk of the degree 2k rule
+    monkeypatch.setattr(element2d, "CHUNK_POINTS",
+                        3 * 24 * len(pb.simplex_rule(3, 2 * k)[1]))
+    stacks = []
+
+    def counted(self, elements, _init=element3d.PolyhedronStack.__init__):
+        stacks.append([el.cell_id for el in elements])
+        _init(self, elements)
+
+    monkeypatch.setattr(element3d.PolyhedronStack, "__init__", counted)
+    sys_ = ps.assemble(m, k)
+    assert stacks == [[0, 1, 2], [4, 5, 6], [7, 8], [3]]
+    prism = sys_.elements[3]
+    assert prism._stack.n_simplices == 2 * 6 + 6 * 4
+    err = np.abs(prism.pi_nabla_star @ prism.d_mat - np.eye(prism.basis.n))
+    assert err.max() <= 1e-10
