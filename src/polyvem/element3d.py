@@ -105,16 +105,13 @@ class PolyhedronStack(ElementStack):
         # moments, for the stabilization
         self._face_forms = []
         for lf, fels in enumerate(faces):
-            frames = [mesh.face_chart(fid)[0] for fid in records[:, lf, 0]]
-            origin = np.array([frame.origin for frame in frames])
-            axes = np.array([frame.axes for frame in frames])
-            normal = records[:, lf, 1, None] * np.array(
-                [frame.normal for frame in frames])
+            frames = mesh.face_frames()[records[:, lf, 0]]
+            normal = records[:, lf, 1, None] * frames.normal
             q2, w2 = _gather(fels, "_qp"), _gather(fels, "_qw")
             fbasis = pb.ScaledMonomialBasis(
                 2, k, _gather(fels, "basis.center"),
                 _gather(fels, "basis.scale"))
-            vals3 = self.basis.eval(origin[:, None, :] + q2 @ axes)
+            vals3 = self.basis.eval(frames.to3d(q2))
             T = (np.swapaxes(vals3, -1, -2) * w2[:, None, :]) @ fbasis.eval(q2)
             area, hf = _gather(fels, "measure"), _gather(fels, "h")
             rows.append(np.swapaxes(T[..., :nmf], -1, -2)

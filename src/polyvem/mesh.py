@@ -40,12 +40,30 @@ class CellGeometry:
 class PolygonGeometry(CellGeometry):
     """The record of a polygon, a 2D cell or a 3D face in its chart: its
     CellGeometry, its vertices, and its edge table (per segment p -> q of
-    the loop: the tangent q - p, its length and the outward unit normal)."""
+    the loop: the tangent q - p, its length and the outward unit normal).
+
+    One record may stand for a stack of polygons with one vertex count,
+    every field with the polygons on a first axis; record[i] is then the
+    record of polygon i, its fields views of the stack's.
+    """
 
     def __init__(self, points, edges, h, measure, centroid, star_center):
         super().__init__(h, measure, centroid, star_center)
         self.points = points
         self.tangents, self.lengths, self.normals = edges
+
+    def __getitem__(self, i):
+        return PolygonGeometry(
+            self.points[i], (self.tangents[i], self.lengths[i],
+                             self.normals[i]),
+            self.h[i], self.measure[i], self.centroid[i], self.star_center[i])
+
+
+def _dots(a, b):
+    """Row-by-row dot products of (..., d) arrays, each one BLAS dot as
+    for two vectors, which np.einsum and np.linalg.norm(axis=-1) do not
+    round like."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _diameter(points):
@@ -55,22 +73,22 @@ def _diameter(points):
     return np.sqrt(np.einsum("...ijk,...ijk->...ij", d, d).max(axis=(-2, -1)))
 
 
-def _has_zero_edge(points):
-    """Whether an edge of the loop has zero length, or one whose square
-    underflows to zero."""
-    tang = np.roll(points, -1, axis=0) - points
-    return not np.all(np.einsum("ij,ij->i", tang, tang) > 0.0)
+def _zero_edges(points):
+    """Whether an edge of the loop (m, dim) has zero length, or one whose
+    square underflows to zero; per loop for a stack (G, m, dim)."""
+    tang = np.roll(points, -1, axis=-2) - points
+    return ~np.all(np.einsum("...ij,...ij->...i", tang, tang) > 0.0, axis=-1)
 
 
 def _edge_table(points):
     """Tangents q - p, lengths and unit outward normals of the segments
-    p -> q of a CCW polygon loop."""
-    tang = np.roll(points, -1, axis=0) - points
-    # a row-by-row dot, which np.linalg.norm(axis=1) does not round like
-    lengths = np.sqrt((tang[:, None, :] @ tang[:, :, None]).ravel())
+    p -> q of CCW polygon loops (..., m, 2)."""
+    tang = np.roll(points, -1, axis=-2) - points
+    lengths = np.sqrt(_dots(tang, tang))
     if not np.all(lengths > 0.0):
         raise MeshError("polygon has a zero-length edge")
-    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
+    normals = (np.stack([tang[..., 1], -tang[..., 0]], axis=-1)
+               / lengths[..., None])
     return tang, lengths, normals
 
 
@@ -89,41 +107,50 @@ def _chebyshev_center(normals, anchors, dim):
     return res.x[:dim], res.x[dim]
 
 
-def _star_point(candidate, normals, anchors, h, what):
-    """The candidate when it sees every facet n.(x-a) <= 0 strictly from
-    inside, otherwise the Chebyshev center of the kernel.
+def _star_points(candidates, normals, anchors, h, names):
+    """Per member g of a stack: its candidate point when that sees every
+    facet n.(x-a) <= 0 of the member strictly from inside, otherwise the
+    Chebyshev center of its kernel; only those members solve the LP.
 
-    Raises KernelEmpty, naming what, when the kernel has no interior point.
+    Raises KernelEmpty, naming the member (names[g]), when its kernel has
+    no interior point.
     """
-    slack = np.einsum("ij,ij->i", normals, candidate - anchors)
-    if np.max(slack) <= -1e-9 * h:
-        return candidate
-    star, radius = _chebyshev_center(normals, anchors, len(candidate))
-    if star is None or radius <= 1e-12 * h:
-        raise KernelEmpty(f"{what} has an empty kernel")
+    star = candidates.copy()
+    slack = np.einsum("gij,gij->gi", normals, candidates[:, None, :] - anchors)
+    for g in np.flatnonzero(~(slack.max(axis=1) <= -1e-9 * h)):
+        center, radius = _chebyshev_center(normals[g], anchors[g],
+                                           star.shape[1])
+        if center is None or radius <= 1e-12 * h[g]:
+            raise KernelEmpty(f"{names[g]} has an empty kernel")
+        star[g] = center
     return star
 
 
 def polygon_geometry(points):
-    """The PolygonGeometry of a simple CCW polygon, an (m, 2) vertex array.
+    """The PolygonGeometry of a simple CCW polygon, an (m, 2) vertex array,
+    or of a stack (G, m, 2) of polygons with one vertex count.
 
     The star point is the centroid when the centroid sees every edge from
-    inside; otherwise it is the Chebyshev center of the polygon's kernel.
-    Raises MeshError on a zero-length edge and KernelEmpty when the kernel
-    has no interior point.
+    inside; only the polygons where it does not solve the LP for the
+    Chebyshev center of their kernel. Raises MeshError on a zero-length
+    edge and KernelEmpty when a kernel has no interior point.
     """
     points = np.asarray(points, dtype=float)
-    x, y = points[:, 0], points[:, 1]
-    xr, yr = np.roll(x, -1), np.roll(y, -1)
+    if points.ndim == 2:
+        return polygon_geometry(points[None])[0]
+    x, y = points[..., 0], points[..., 1]
+    xr, yr = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
     cross = x * yr - xr * y
-    area = 0.5 * np.sum(cross)
-    if not area > 0.0:
+    area = 0.5 * np.sum(cross, axis=-1)
+    if not np.all(area > 0.0):
         raise MeshError("polygon is degenerate or not counterclockwise")
-    centroid = np.array([np.sum((x + xr) * cross),
-                         np.sum((y + yr) * cross)]) / (6.0 * area)
+    centroid = (np.stack([np.sum((x + xr) * cross, axis=-1),
+                          np.sum((y + yr) * cross, axis=-1)], axis=-1)
+                / (6.0 * area[:, None]))
     h = _diameter(points)
     edges = _edge_table(points)
-    star = _star_point(centroid, edges[2], points, h, "polygon")
+    star = _star_points(centroid, edges[2], points, h,
+                        ["polygon"] * len(points))
     return PolygonGeometry(points, edges, h, area, centroid, star)
 
 
@@ -131,33 +158,77 @@ def polygon_geometry(points):
 # planar faces embedded in 3D
 
 
-def _newell_normal(points3):
-    rolled = np.roll(points3, -1, axis=0)
-    n = np.cross(points3, rolled).sum(axis=0)
-    norm = np.linalg.norm(n)
-    if norm == 0.0:
-        raise MeshError("face is degenerate")
-    return n / norm
-
-
 class FaceFrame:
     """Isometric chart of the plane carrying a face, right-handed with the
-    face loop counterclockwise when seen against the normal."""
+    face loop counterclockwise when seen against the normal: its origin,
+    unit normal and, as rows, its two unit axes.
 
-    def __init__(self, points3):
-        points3 = np.asarray(points3, dtype=float)
-        self.origin = points3.mean(axis=0)
-        self.normal = _newell_normal(points3)
-        seed = points3[1] - points3[0]
-        seed = seed - (seed @ self.normal) * self.normal
-        a0 = seed / np.linalg.norm(seed)
-        self.axes = np.array([a0, np.cross(self.normal, a0)])
+    One frame may stand for a stack of frames, every field with the faces
+    on a first axis; frame[i] is then the frame of face i, or a stack for
+    an index array i.
+    """
+
+    def __init__(self, origin, normal, axes):
+        self.origin = origin
+        self.normal = normal
+        self.axes = axes
+
+    def __getitem__(self, i):
+        return FaceFrame(self.origin[i], self.normal[i], self.axes[i])
 
     def to2d(self, pts3):
-        return (np.atleast_2d(pts3) - self.origin) @ self.axes.T
+        """Chart coordinates of pts3 (npts, 3), or (G, npts, 3) for a
+        stack."""
+        return ((np.atleast_2d(pts3) - self.origin[..., None, :])
+                @ np.swapaxes(self.axes, -1, -2))
 
     def to3d(self, pts2):
-        return self.origin + np.atleast_2d(pts2) @ self.axes
+        """The points of chart coordinates pts2 (npts, 2), or (G, npts, 2)
+        for a stack."""
+        return self.origin[..., None, :] + np.atleast_2d(pts2) @ self.axes
+
+
+def face_frame(points3):
+    """The FaceFrame of a planar face loop (m, 3), or of a stack (G, m, 3)
+    of face loops with one vertex count: the origin at the vertex average,
+    the Newell normal, and the first axis along the first edge."""
+    points3 = np.asarray(points3, dtype=float)
+    if points3.ndim == 2:
+        return face_frame(points3[None])[0]
+    n = np.cross(points3, np.roll(points3, -1, axis=-2)).sum(axis=-2)
+    norm = np.sqrt(_dots(n, n))
+    if not np.all(norm > 0.0):
+        raise MeshError("face is degenerate")
+    normal = n / norm[:, None]
+    seed = points3[:, 1] - points3[:, 0]
+    seed = seed - _dots(seed, normal)[:, None] * normal
+    length = np.sqrt(_dots(seed, seed))
+    if not np.all(length > 0.0):
+        raise MeshError("face is degenerate")
+    a0 = seed / length[:, None]
+    return FaceFrame(points3.mean(axis=-2), normal,
+                     np.stack([a0, np.cross(normal, a0)], axis=-2))
+
+
+def _stacked_loops(vertices, loops, what):
+    """The loops' points, grouped by vertex count in order of first
+    appearance: per group the loop ids and their points (G, m, dim).
+
+    Raises MeshError naming the first loop, by id, with a zero-length
+    edge (what: "cell" or "face").
+    """
+    groups = {}
+    for i, loop in enumerate(loops):
+        groups.setdefault(len(loop), []).append(i)
+    stacks, bad = [], []
+    for ids in groups.values():
+        ids = np.array(ids)
+        pts = vertices[np.array([loops[i] for i in ids])]
+        bad.extend(ids[_zero_edges(pts)])
+        stacks.append((ids, pts))
+    if bad:
+        raise MeshError(f"{what} {min(bad)} has a zero-length edge")
+    return stacks
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +275,28 @@ class PolygonalMesh2:
         self.cell_edge_ids, counts = _number_edges(self, self.cells)
         self.boundary_edges = counts == 1
         self.boundary_vertices = np.zeros(self.n_vertices, dtype=bool)
+        self._records = None
         if self.n_edges:
             self.boundary_vertices[self.edges[self.boundary_edges].ravel()] = True
 
     def cell_points(self, i):
         return self.vertices[self.cells[i]]
+
+    def cell_record(self, i):
+        """The PolygonGeometry of cell i.
+
+        On first use the records of all cells are built, one stacked
+        polygon_geometry per vertex count, and kept, so the quality report
+        and the elements read one record per cell.
+        """
+        if self._records is None:
+            records = [None] * self.n_cells
+            for ids, pts in _stacked_loops(self.vertices, self.cells, "cell"):
+                geometry = polygon_geometry(pts)
+                for j, cell in enumerate(ids):
+                    records[cell] = geometry[j]
+            self._records = records
+        return self._records[i]
 
     def validate(self):
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -227,7 +315,7 @@ class PolygonalMesh2:
             area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
             if not area > 0.0:
                 raise MeshError(f"cell {ci} is not counterclockwise")
-            if _has_zero_edge(pts):
+            if _zero_edges(pts):
                 raise MeshError(f"cell {ci} has a zero-length edge")
             for a, b in zip(loop, loop[1:] + loop[:1]):
                 if (a, b) in directed:
@@ -257,7 +345,7 @@ class PolyhedralMesh3:
         self.n_vertices = len(self.vertices)
         self.n_faces = len(self.faces)
         self.n_cells = len(self.cells)
-        self._charts = {}
+        self._frames = self._records = None
         self.face_edge_ids, _ = _number_edges(self, self.faces)
         counts = np.zeros(self.n_faces, dtype=int)
         for cell in self.cells:
@@ -288,35 +376,45 @@ class PolyhedralMesh3:
     def face_points(self, fid):
         return self.vertices[self.faces[fid]]
 
-    def face_chart(self, fid):
-        """(FaceFrame, PolygonGeometry in that frame) of a face.
+    def face_frames(self):
+        """The FaceFrames of all faces, one stack in face id order.
 
-        Built on first use and kept, so the cells sharing a face and its
-        face element read one chart; being lazy, it lets validate's
-        ordered checks come first.
+        The charts are built on first use, one stacked face_frame and
+        polygon_geometry per vertex count, and kept, so the cells sharing
+        a face and its face element read one chart; being lazy, it lets
+        validate's ordered checks come first. A zero-length edge, on which
+        a frame would divide by zero, raises MeshError naming the first
+        such face.
         """
-        chart = self._charts.get(fid)
-        if chart is None:
-            pts3 = self.face_points(fid)
-            # the frame would divide by such an edge's length
-            if _has_zero_edge(pts3):
-                raise MeshError(f"face {fid} has a zero-length edge")
-            frame = FaceFrame(pts3)
-            geom = polygon_geometry(frame.to2d(pts3))
-            chart = self._charts[fid] = (frame, geom)
-        return chart
+        if self._frames is None:
+            frames = FaceFrame(np.empty((self.n_faces, 3)),
+                               np.empty((self.n_faces, 3)),
+                               np.empty((self.n_faces, 2, 3)))
+            records = [None] * self.n_faces
+            for ids, pts3 in _stacked_loops(self.vertices, self.faces,
+                                            "face"):
+                frame = face_frame(pts3)
+                frames.origin[ids] = frame.origin
+                frames.normal[ids] = frame.normal
+                frames.axes[ids] = frame.axes
+                geometry = polygon_geometry(frame.to2d(pts3))
+                for j, fid in enumerate(ids):
+                    records[fid] = geometry[j]
+            self._frames, self._records = frames, records
+        return self._frames
 
-    def _oriented_face_data(self, i):
-        """Per face of cell i: (loop points, frame, geometry in the frame,
-        sign), the sign being +1 when the frame normal points outward."""
-        return [(self.face_points(fid), *self.face_chart(fid), sign)
-                for fid, sign in self.cells[i]]
+    def face_chart(self, fid):
+        """(FaceFrame, PolygonGeometry in that frame) of a face; see
+        face_frames."""
+        return self.face_frames()[fid], self._records[fid]
 
     def cell_volume_divergence(self, i):
-        """Cell volume from the divergence theorem applied to x/3."""
+        """Cell volume from the divergence theorem applied to x/3; a face's
+        sign is +1 when its frame normal points out of the cell."""
         vol = 0.0
-        for pts3, frame, geom, sign in self._oriented_face_data(i):
-            vol += sign * (pts3[0] @ frame.normal) * geom.measure
+        for fid, sign in self.cells[i]:
+            frame, geom = self.face_chart(fid)
+            vol += sign * (self.face_points(fid)[0] @ frame.normal) * geom.measure
         return vol / 3.0
 
     def validate(self):
@@ -330,9 +428,9 @@ class PolyhedralMesh3:
             if min(loop) < 0 or max(loop) >= self.n_vertices:
                 raise MeshError(f"face {fid} references a missing vertex")
             pts3 = self.face_points(fid)
-            if _has_zero_edge(pts3):
+            if _zero_edges(pts3):
                 raise MeshError(f"face {fid} has a zero-length edge")
-            frame = FaceFrame(pts3)
+            frame = face_frame(pts3)
             offsets = (pts3 - frame.origin) @ frame.normal
             hf = _diameter(pts3)
             if np.max(np.abs(offsets)) > 1e-12 * hf:
@@ -366,21 +464,20 @@ class PolyhedralMesh3:
 def _kernel_halfspaces(mesh, i):
     """Outward unit normals and anchor points of the facets of cell i,
     whose half-spaces n.(x-a) <= 0 cut out its kernel, and its diameter."""
-    pts = mesh.cell_points(i)
     if mesh.dim == 2:
-        normals, anchors = _edge_table(pts)[2], pts
-    else:
-        data = mesh._oriented_face_data(i)
-        normals = np.array([sign * frame.normal for _, frame, _, sign in data])
-        anchors = np.array([pts3[0] for pts3, _, _, _ in data])
-    return normals, anchors, _diameter(pts)
+        polygon = mesh.cell_record(i)
+        return polygon.normals, polygon.points, polygon.h
+    fids, signs = np.array(mesh.cells[i]).T
+    normals = signs[:, None] * mesh.face_frames().normal[fids]
+    anchors = mesh.vertices[[mesh.faces[fid][0] for fid in fids]]
+    return normals, anchors, _diameter(mesh.cell_points(i))
 
 
 def cell_geometry(mesh, i):
     """CellGeometry of one cell, in either dimension: a polygon's record
     in 2D, a polyhedron's star fan geometry (star_fan) in 3D."""
     if mesh.dim == 2:
-        return polygon_geometry(mesh.cell_points(i))
+        return mesh.cell_record(i)
     g = star_fan(mesh, [i])[0]
     return CellGeometry(g.h[0], g.measure[0], g.centroid[0],
                         g.star_center[0])
@@ -404,27 +501,21 @@ def star_fan(mesh, cells):
     records = np.array([mesh.cells[i] for i in cells])
     normals, anchors, fans, fan_signs = [], [], [], []
     for fids, signs in zip(records[:, :, 0].T, records[:, :, 1].T):
-        frames, geoms = zip(*(mesh.face_chart(fid) for fid in fids))
-        normals.append(signs[:, None]
-                       * np.array([frame.normal for frame in frames]))
+        frames = mesh.face_frames()[fids]
+        normals.append(signs[:, None] * frames.normal)
         loop = mesh.vertices[[mesh.faces[fid] for fid in fids]]
         anchors.append(loop[:, 0])
-        origin = np.array([frame.origin for frame in frames])
-        axes = np.array([frame.axes for frame in frames])
-        sc = np.array([geom.star_center for geom in geoms])
+        sc = np.array([mesh.face_chart(fid)[1].star_center for fid in fids])
         # the tets' star vertex is filled in below
         fan = np.empty(loop.shape[:2] + (4, 3))
         fan[:, :, 1] = loop
         fan[:, :, 2] = np.roll(loop, -1, axis=1)
-        fan[:, :, 3] = (origin + (sc[:, None, :] @ axes)[:, 0])[:, None, :]
+        fan[:, :, 3] = frames.to3d(sc[:, None, :])
         fans.append(fan)
         fan_signs.append(np.repeat(signs[:, None], loop.shape[1], axis=1))
     normals, anchors = np.stack(normals, axis=1), np.stack(anchors, axis=1)
-    star = pts.mean(axis=1)
-    slack = np.einsum("gij,gij->gi", normals, star[:, None, :] - anchors)
-    for g in np.flatnonzero(~(slack.max(axis=1) <= -1e-9 * h)):
-        star[g] = _star_point(star[g], normals[g], anchors[g], h[g],
-                              f"cell {cells[g]}")
+    star = _star_points(pts.mean(axis=1), normals, anchors, h,
+                        [f"cell {i}" for i in cells])
 
     tets = np.concatenate(fans, axis=1)
     tets[:, :, 0] = star[:, None, :]

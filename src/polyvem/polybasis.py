@@ -85,21 +85,20 @@ class ScaledMonomialBasis:
         """Values at pts (npts, dim), returned as (npts, n); for a stack,
         at pts (G, npts, dim), returned as (G, npts, n)."""
         # P[..., d * (degree + 1) + j] = rel[..., d] ** j of the scaled
-        # offsets rel, bit for bit the pow values of rel ** alpha: columns
-        # 0 and 1 are exact, the rest get a full exponent array, since numpy
-        # squares (rounding unlike pow) for a scalar or stride-0 exponent 2
+        # offsets rel, by running products: column j is column j - 1 times
+        # rel, so it carries at most j - 1 roundings, within j ulps of pow
+        # (which is slow on negative bases); columns 0 and 1 are exact
         pts = np.asarray(pts, dtype=float)
         if pts.ndim == 1:
             pts = pts[None]
         rel = ((pts - self.center[..., None, :])
                / self.scale[..., None, None])
-        P = np.ones(rel.shape + (self.degree + 1,))
+        P = np.empty(rel.shape + (self.degree + 1,))
+        P[..., 0] = 1.0
         if self.degree >= 1:
             P[..., 1] = rel
-        if self.degree >= 2:
-            exponents = np.empty(rel.shape + (self.degree - 1,))
-            exponents[:] = np.arange(2.0, self.degree + 1)
-            P[..., 2:] = rel[..., None] ** exponents
+        for j in range(2, self.degree + 1):
+            np.multiply(P[..., j - 1], rel, out=P[..., j])
         P = P.reshape(rel.shape[:-1] + (-1,))
         # rel[..., d] ** indices[:, d], multiplied over d. np.take keeps
         # the result C-ordered (P[..., cols] would not), and BLAS products

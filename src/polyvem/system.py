@@ -17,7 +17,6 @@ import scipy.sparse.linalg
 from . import polybasis as pb
 from .element2d import Element2D, stack_elements
 from .element3d import Element3D, stack_cells
-from .mesh import polygon_geometry
 
 DIRECT_SOLVER_LIMIT = 50_000
 
@@ -121,7 +120,7 @@ def build_elements(dofmap):
     stack_elements, the 3D cells' by stack_cells."""
     mesh, k = dofmap.mesh, dofmap.k
     if mesh.dim == 2:
-        cells = [Element2D(polygon_geometry(mesh.cell_points(i)), k)
+        cells = [Element2D(mesh.cell_record(i), k)
                  for i in range(mesh.n_cells)]
         stack_elements(cells)
         return cells
@@ -291,9 +290,8 @@ def interpolate_global(mesh, k, func, elements, dofmap):
                  in zip(mesh.cells[el.cell_id], el._faces)}
         fids = sorted(faces)
         for st, where in _stacks([faces[fid] for fid in fids]):
-            frames = [mesh.face_chart(fids[j])[0] for j in where]
-            values = np.array([func(frame.to3d(q2))
-                               for frame, q2 in zip(frames, st._qp)],
+            frames = mesh.face_frames()[np.array(fids)[where]]
+            values = np.array([func(q) for q in frames.to3d(st._qp)],
                               dtype=float)
             idx = np.array([dofmap.face_dofs(fids[j]) for j in where])
             x[idx[:, st.layout.n_boundary:]] = st.moments(values)

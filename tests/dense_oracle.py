@@ -32,6 +32,11 @@ moments of each of its faces) into the cells' global dofs. The package
 fills each global dof once; its moment entries must equal these bit for
 bit, and its node entries may differ only by the rounding of the points.
 
+The package builds polygon records and face charts on stacks of
+polygons with one vertex count; this module keeps them one polygon at a
+time (polygon_record, face_chart), and every stacked field must equal
+them bit for bit.
+
 The package evaluates no basis gradient; this module keeps the textbook
 values and gradients of a basis (direct_eval_and_grad), the one gradient
 reference of the tests. From it, it sums the projected error norms one
@@ -49,6 +54,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import scipy.optimize
 import scipy.special
 
 from polyvem import polybasis as pb
@@ -517,6 +523,55 @@ def interpolate_by_cell(mesh, k, func, elements, dofmap, interior_ts):
                     fel, lambda q2: func(frame.to3d(q2)))
         x[dofmap.cell_dofs(i)] = dofs
     return x
+
+
+# ---------------------------------------------------------------------------
+# polygon records and face charts, one polygon at a time
+
+
+def polygon_record(points):
+    """The fields of the record of one CCW polygon (m, 2), as a dict: its
+    points, edge table (tangents, lengths, outward unit normals), diameter
+    h, area, centroid and star point (the centroid when it sees every edge
+    from inside, otherwise the Chebyshev center of the kernel)."""
+    x, y = points[:, 0], points[:, 1]
+    xr, yr = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yr - xr * y
+    area = 0.5 * np.sum(cross)
+    centroid = np.array([np.sum((x + xr) * cross),
+                         np.sum((y + yr) * cross)]) / (6.0 * area)
+    d = points[:, None, :] - points[None, :, :]
+    h = np.sqrt(np.einsum("...ijk,...ijk->...ij", d, d).max(axis=(-2, -1)))
+    tang = np.roll(points, -1, axis=0) - points
+    lengths = np.sqrt((tang[:, None, :] @ tang[:, :, None]).ravel())
+    normals = np.column_stack([tang[:, 1], -tang[:, 0]]) / lengths[:, None]
+    star = centroid
+    slack = np.einsum("ij,ij->i", normals, centroid - points)
+    if not np.max(slack) <= -1e-9 * h:
+        res = scipy.optimize.linprog(
+            [0.0, 0.0, -1.0],
+            A_ub=np.column_stack([normals, np.ones(len(normals))]),
+            b_ub=np.einsum("ij,ij->i", normals, points),
+            bounds=[(None, None)] * 2 + [(0.0, None)], method="highs")
+        star = res.x[:2]
+    return dict(points=points, tangents=tang, lengths=lengths,
+                normals=normals, h=h, measure=area, centroid=centroid,
+                star_center=star)
+
+
+def face_chart(points3):
+    """The chart of one planar face loop (m, 3), as a dict: the frame's
+    origin (vertex average), Newell unit normal and axes (the first along
+    the first edge), and the fields of the face's polygon_record in it."""
+    origin = points3.mean(axis=0)
+    n = np.cross(points3, np.roll(points3, -1, axis=0)).sum(axis=0)
+    normal = n / np.linalg.norm(n)
+    seed = points3[1] - points3[0]
+    seed = seed - (seed @ normal) * normal
+    a0 = seed / np.linalg.norm(seed)
+    axes = np.array([a0, np.cross(normal, a0)])
+    return dict(origin=origin, normal=normal, axes=axes,
+                **polygon_record((points3 - origin) @ axes.T))
 
 
 # ---------------------------------------------------------------------------

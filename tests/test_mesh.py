@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from conftest import poly_area
+from conftest import poly_area, random_star_polygon
 from polyvem import mesh as pm
 
 
@@ -373,6 +373,150 @@ def test_face_orientation_signs_opposite():
             assert signs[0] == -signs[1]
         else:
             assert m.boundary_faces[fid]
+
+
+# ---------------------------------------------------------------------------
+# records and charts built on stacks
+
+
+RECORD_FIELDS = ("points", "tangents", "lengths", "normals", "h", "measure",
+                 "centroid", "star_center")
+
+U_SHAPE = np.array([[0, 0], [3, 0], [3, 3], [2, 3], [2, 1], [1, 1], [1, 3],
+                    [0, 3]], float)
+
+
+def assert_record_equals(got, want):
+    for name in RECORD_FIELDS:
+        assert np.array_equal(getattr(got, name), want[name]), name
+
+
+@pytest.mark.parametrize("family,n", [
+    ("distorted(1)", 24), ("distorted(3)", 4), ("smalledge(0.001)", 4),
+    ("hanging", 4), ("uniform", 4)])
+def test_cell_records_equal_polygon_alone_bitwise(family, n):
+    # hanging has cells with 4, 6, 7 and 8 vertices, so several stacks
+    m = pm.generate_square_mesh(n, family)
+    for i in range(m.n_cells):
+        want = dense_oracle.polygon_record(m.cell_points(i))
+        assert_record_equals(m.cell_record(i), want)
+        assert pm.cell_geometry(m, i) is m.cell_record(i)
+
+
+@pytest.mark.parametrize("family,n", [
+    ("facesplit(0.05)", 3), ("facesplit(0.05)", 4), ("uniform", 3)])
+def test_face_charts_equal_face_alone_bitwise(family, n):
+    m = pm.generate_cube_mesh(n, family)
+    rng = np.random.default_rng(n)
+    q2 = rng.uniform(-0.5, 0.5, size=(m.n_faces, 7, 2))
+    q3 = rng.uniform(0.0, 1.0, size=(m.n_faces, 5, 3))
+    frames = m.face_frames()
+    to3d, to2d = frames.to3d(q2), frames.to2d(q3)
+    for fid in range(m.n_faces):
+        frame, record = m.face_chart(fid)
+        want = dense_oracle.face_chart(m.face_points(fid))
+        for name in ("origin", "normal", "axes"):
+            assert np.array_equal(getattr(frame, name), want[name]), name
+        assert_record_equals(record, want)
+        # the stacked maps round as one face's
+        assert np.array_equal(to3d[fid],
+                              want["origin"] + q2[fid] @ want["axes"])
+        assert np.array_equal(to2d[fid],
+                              (q3[fid] - want["origin"]) @ want["axes"].T)
+        assert np.array_equal(frame.to3d(q2[fid]), to3d[fid])
+
+
+def test_stacked_frames_of_tilted_faces_equal_face_alone_bitwise():
+    # the mesh families' faces are axis-aligned, so their normals and
+    # axes round trivially; these hexagons lie in random planes
+    rng = np.random.default_rng(11)
+    faces = []
+    for _ in range(30):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        pts2 = random_star_polygon(rng, n_min=6, n_max=6)
+        faces.append(pts2 @ q[:2] + rng.uniform(-1, 1, size=3))
+    faces = np.array(faces)
+    frames = pm.face_frame(faces)
+    records = pm.polygon_geometry(frames.to2d(faces))
+    for g, pts3 in enumerate(faces):
+        want = dense_oracle.face_chart(pts3)
+        for name in ("origin", "normal", "axes"):
+            assert np.array_equal(getattr(frames[g], name), want[name]), name
+        assert_record_equals(records[g], want)
+
+
+def test_stacked_records_mix_star_test_and_lp_fallback():
+    # random hexagons, star-shaped about a point that need not be their
+    # centroid, and the tall L, whose centroid lies outside its kernel
+    rng = np.random.default_rng(2024)
+    tall_l = np.array([[0, 0], [6, 0], [6, 1], [1, 1], [1, 6], [0, 6]], float)
+    polys = [random_star_polygon(rng, n_min=6, n_max=6) for _ in range(40)]
+    polys.insert(17, tall_l)
+    stack = pm.polygon_geometry(np.array(polys))
+    fallback = [not np.array_equal(stack.star_center[g], stack.centroid[g])
+                for g in range(len(polys))]
+    assert fallback[17] and fallback.count(False) > 1
+    for g, pts in enumerate(polys):
+        want = dense_oracle.polygon_record(pts)
+        assert_record_equals(stack[g], want)
+        assert_record_equals(pm.polygon_geometry(pts), want)
+
+
+def without_warnings(call, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return call(*args)
+
+
+def test_stacked_record_raises_kernel_empty_for_one_member():
+    octagon = np.column_stack([np.cos(np.arange(8) * np.pi / 4),
+                               np.sin(np.arange(8) * np.pi / 4)])
+    with pytest.raises(pm.KernelEmpty):
+        without_warnings(pm.polygon_geometry,
+                         np.array([octagon, U_SHAPE, octagon + 3.0]))
+    verts = np.vstack([octagon + 5.0, U_SHAPE])
+    mesh = pm.PolygonalMesh2(verts, [list(range(8)), list(range(8, 16))])
+    with pytest.raises(pm.KernelEmpty):
+        without_warnings(mesh.cell_record, 0)
+
+
+def test_stacked_cell_records_name_first_cell_with_zero_length_edge():
+    # cell 2 (a square, in the first stack) and cell 1 (a pentagon, in a
+    # later one) each repeat a vertex; the lower id is named
+    verts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1],
+                      [2, 1], [3, 0], [3, 1], [3, 1]], float)
+    cells = [[0, 1, 2, 3], [1, 4, 5, 6, 2], [4, 7, 8, 9]]
+    mesh = pm.PolygonalMesh2(verts, cells)
+    with pytest.raises(pm.MeshError, match="cell 1 has a zero-length edge"):
+        without_warnings(mesh.cell_record, 0)
+    with pytest.raises(pm.MeshError, match="cell 1 has a zero-length edge"):
+        without_warnings(pm.quality_report, mesh)
+
+
+def test_stacked_charts_name_first_face_with_zero_length_edge():
+    # face 5 keeps four vertices, one of them a copy of its neighbor; face
+    # 1 gets a fifth vertex on top of its third, so it sits in a stack
+    # built after face 5's; the lower id is named, whichever face is asked
+    cube = pm.generate_cube_mesh(1, "uniform")
+    faces = [list(f) for f in cube.faces]
+    verts = np.vstack([cube.vertices, cube.vertices[faces[5][1]],
+                       cube.vertices[faces[1][2]]])
+    faces[5][2] = len(verts) - 2
+    faces[1].insert(2, len(verts) - 1)
+    mesh = pm.PolyhedralMesh3(verts, faces, cube.cells)
+    for fid in (0, 5):
+        with pytest.raises(pm.MeshError,
+                           match="face 1 has a zero-length edge"):
+            without_warnings(mesh.face_chart, fid)
+    with pytest.raises(pm.MeshError, match="face 1 has a zero-length edge"):
+        without_warnings(pm.quality_report, mesh)
+
+
+def test_stacked_frames_raise_on_a_degenerate_face():
+    square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float)
+    line = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]], float)
+    with pytest.raises(pm.MeshError, match="face is degenerate"):
+        without_warnings(pm.face_frame, np.array([square, line]))
 
 
 # ---------------------------------------------------------------------------

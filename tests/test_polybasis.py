@@ -84,9 +84,10 @@ def test_eval_matches_direct_powers(rng):
 @pytest.mark.parametrize("degree", range(7))
 @pytest.mark.parametrize("dim", [2, 3])
 def test_eval_and_grad_match_direct_formula(rng, dim, degree):
-    # eval reads a power table instead of calling pow per monomial;
-    # that must not move any value, nor leave a non-C-ordered result
-    # (BLAS products of it would round differently)
+    # eval builds its power table by running products instead of one pow
+    # per monomial; its values stay within 1e-15 relative of the pow
+    # formula at these degrees, and its result is C-ordered (BLAS
+    # products of it would round differently otherwise)
     center = rng.uniform(-1, 1, size=dim)
     scale = 0.7
     for npts in (1, 3, 5, 10_000):
@@ -99,6 +100,51 @@ def test_eval_and_grad_match_direct_formula(rng, dim, degree):
         direct_vals, _ = direct_eval_and_grad(basis, pts)
         np.testing.assert_allclose(vals, direct_vals, rtol=1e-15, atol=0)
         assert vals.flags.c_contiguous
+
+
+def pow_values(basis, pts):
+    """rel ** alpha by pow, one call per (point, monomial, dim), with a
+    full exponent array (numpy squares for a stride-0 exponent 2),
+    multiplied over the dims in eval's order."""
+    rel = (pts - basis.center) / basis.scale
+    exponents = np.empty((len(pts),) + basis.indices.shape)
+    exponents[:] = basis.indices
+    factors = rel[:, None, :] ** exponents
+    vals = factors[..., 0].copy()
+    for d in range(1, basis.dim):
+        vals *= factors[..., d]
+    return vals
+
+
+@pytest.mark.parametrize("degree", range(9))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_eval_running_products_within_degree_ulps_of_pow(rng, dim, degree):
+    # offsets of either sign, up to 1e3 times the scale: column j of the
+    # power table is rounded j - 1 times, so each value stays within
+    # degree * eps of pow's
+    center = rng.uniform(-1, 1, size=dim)
+    scale = 0.3
+    offsets = rng.uniform(-1, 1, size=(4000, dim))
+    offsets *= 10.0 ** rng.uniform(-3, 3, size=(4000, 1))
+    pts = center + scale * offsets
+    basis = pb.ScaledMonomialBasis(dim, degree, center, scale)
+    vals, want = basis.eval(pts), pow_values(basis, pts)
+    assert np.all(np.abs(vals - want)
+                  <= degree * np.finfo(float).eps * np.abs(want))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 5, 8])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_eval_equals_each_member_bitwise(rng, dim, degree):
+    G = 5
+    center = rng.uniform(-1, 1, size=(G, dim))
+    scale = rng.uniform(0.01, 2.0, size=G)
+    pts = center[:, None, :] + rng.uniform(-1e3, 1e3, size=(G, 31, 1)) * \
+        rng.uniform(-1, 1, size=(G, 31, dim)) * scale[:, None, None]
+    stack = pb.ScaledMonomialBasis(dim, degree, center, scale).eval(pts)
+    for g in range(G):
+        alone = pb.ScaledMonomialBasis(dim, degree, center[g], scale[g])
+        assert np.array_equal(stack[g], alone.eval(pts[g]))
 
 
 @pytest.mark.parametrize("dim", [2, 3])

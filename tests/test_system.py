@@ -353,23 +353,29 @@ def test_interpolant_calls_func_once_per_polygon_and_cell(dim, family, n, k):
 @pytest.mark.parametrize("dim,family", [(2, "hanging"),
                                         (3, "facesplit(0.25)")])
 def test_polygon_geometry_once_per_polygon(monkeypatch, dim, family):
-    # each polygon (a 2D cell, a 3D face) is described by one record,
-    # which its element takes and neighboring cells share
+    # each polygon (a 2D cell, a 3D face) is described exactly once, in
+    # one stacked record per vertex count, which its element and the
+    # quality report take and neighboring cells share
     m = (pm.generate_square_mesh(3, family) if dim == 2
          else pm.generate_cube_mesh(2, family))
-    calls = []
+    sizes = []
     geometry = pm.polygon_geometry
 
     def counted(points):
-        calls.append(1)
+        sizes.append(len(points) if np.ndim(points) == 3 else 1)
         return geometry(points)
 
     for holder in (pm, ps, element2d):
         monkeypatch.setattr(holder, "polygon_geometry", counted,
                             raising=False)
     sys_ = ps.assemble(m, 2)
-    assert len(calls) == (m.n_cells if dim == 2 else m.n_faces)
+    pm.quality_report(m)
+    loops = m.cells if dim == 2 else m.faces
+    assert sum(sizes) == len(loops)
+    assert len(sizes) == len({len(loop) for loop in loops})
     if dim == 2:
+        for i, el in enumerate(sys_.elements):
+            assert el.geometry is m.cell_record(i)
         return
     owner = {}
     for i, el in enumerate(sys_.elements):
