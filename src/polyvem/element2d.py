@@ -46,14 +46,6 @@ class DofLayout:
         self.n_total = n_boundary + n_moment
 
 
-def _refined_solve(A, B):
-    """Solve the stacked systems A X = B with one step of iterative
-    refinement."""
-    X = np.linalg.solve(A, B)
-    X += np.linalg.solve(A, B - A @ X)
-    return X
-
-
 def _solve_projectors(st, B, bnd_mean_dof, bnd_mean_mono):
     """Set pi_nabla_star, pi_nabla and pi_zero of a stack of elements.
 
@@ -63,42 +55,35 @@ def _solve_projectors(st, B, bnd_mean_dof, bnd_mean_mono):
     means fix the constants. Its last layout.n_moment dofs are the
     scaled cell moments.
     """
-    k = st.k
     n_total, nm = st.layout.n_total, st.layout.n_moment
     measure = st.measure[:, None, None]
     # moments carry the exact volume term of the integration by parts
     B[..., n_total - nm:] -= measure * st.basis.laplacian_map()[..., :nm]
 
     # a change to an H-orthonormal basis keeps the projector solves
-    # well conditioned once the monomials become nearly dependent
-    R = pb.orthonormal_change(st.H) if k >= 3 else None
-    if R is None:
-        Gc = st.Gt.copy()
-        Gc[:, 0] = bnd_mean_mono
-        Bc = B.copy()
-    else:
-        Rt = np.swapaxes(R, -1, -2)
-        Gc = Rt @ st.Gt @ R
-        Gc[:, 0] = (Rt @ bnd_mean_mono[..., None])[..., 0]
-        Bc = Rt @ B
+    # well conditioned once the monomials become nearly dependent; each
+    # solve takes one step of iterative refinement
+    R = pb.orthonormal_change(st.H)
+    Rt = np.swapaxes(R, -1, -2)
+    Gc = Rt @ st.Gt @ R
+    Gc[:, 0] = (Rt @ bnd_mean_mono[..., None])[..., 0]
+    Bc = Rt @ B
     Bc[:, 0] = bnd_mean_dof
-    X = _refined_solve(Gc, Bc)
-    st.pi_nabla_star = R @ X if R is not None else X
+    X = np.linalg.solve(Gc, Bc)
+    X += np.linalg.solve(Gc, Bc - Gc @ X)
+    st.pi_nabla_star = R @ X
     st.pi_nabla = st.d_mat @ st.pi_nabla_star
 
-    if k == 1:
+    if st.k == 1:
         st.pi_zero = st.pi_nabla_star
         return
     M = st.H @ st.pi_nabla_star
     M[:, :nm] = 0.0
     rows = np.arange(nm)
     M[:, rows, n_total - nm + rows] = st.measure[:, None]
-    if R is None:
-        st.pi_zero = _refined_solve(st.H, M)
-    else:
-        Z = R @ (Rt @ M)
-        Z += R @ (Rt @ (M - st.H @ Z))
-        st.pi_zero = Z
+    Z = R @ (Rt @ M)
+    Z += R @ (Rt @ (M - st.H @ Z))
+    st.pi_zero = Z
 
 
 class ElementStack:
@@ -129,17 +114,15 @@ class ElementStack:
     def local_load(self, f):
         """Integrals of f against the load polynomials of the dofs; f is
         called once, on the volume points of the whole stack."""
-        lay = self.layout
-        if self.k == 1:
-            C, degree = self.pi_zero, 1
-        elif self.k == 2:
+        if self.k <= 2:
+            # the L2 projection onto P1, through H's P1 block
             degree, nj = 1, pb.n_poly(self.basis.dim, 1)
             C = np.linalg.solve(self.H[:, :nj, :nj],
                                 self.H[:, :nj] @ self.pi_zero)
         else:
             # for k >= 3 the degree k-2 moments are stored dofs
-            degree, nm = self.k - 2, lay.n_moment
-            C = np.zeros((len(self.measure), nm, lay.n_total))
+            degree, nm = self.k - 2, self.layout.n_moment
+            C = np.zeros((len(self.measure), nm, self.layout.n_total))
             C[..., -nm:] = (self.measure[:, None, None]
                             * np.linalg.inv(self.H[:, :nm, :nm]))
         qp = self._qp

@@ -124,13 +124,10 @@ class PolyhedronStack(ElementStack):
             bnd_mean_dof[every, idx] += (Hf[:, :1] @ pz)[:, 0]
             bnd_mean_mono += T[..., 0]
             total_area += area
-            # squared by pow, as for a single face: numpy squares an array
-            # by a product, which rounds differently
-            a2 = np.array([a ** 2 for a in area.tolist()])[:, None, None]
-            h2 = np.array([h ** 2 for h in hf.tolist()])[:, None, None]
             self._face_forms.append(
                 (fels[0].layout.n_boundary,
-                 a2 * np.linalg.inv(Hf[:, :nmf, :nmf]) / h2))
+                 area[:, None, None] ** 2 * np.linalg.inv(Hf[:, :nmf, :nmf])
+                 / hf[:, None, None] ** 2))
         rows.append(self.H[:, :self.layout.n_moment, :]
                     / self.measure[:, None, None])
         self.d_mat = np.concatenate(rows, axis=1)

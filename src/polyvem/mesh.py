@@ -235,6 +235,14 @@ def _stacked_loops(vertices, loops, what):
 # mesh containers
 
 
+def _check_used(n, used, what):
+    """Raise MeshError naming the first vertex or face (what) id below n
+    that is not among the ids in used."""
+    unused = np.setdiff1d(np.arange(n), used)
+    if unused.size:
+        raise MeshError(f"{what} {unused[0]} is used by no cell")
+
+
 def _number_edges(mesh, loops):
     """Number the segments of the vertex loops by first appearance.
 
@@ -325,6 +333,9 @@ class PolygonalMesh2:
             counts[self.cell_edge_ids[ci]] += 1
         if self.n_edges and not np.all((counts == 1) | (counts == 2)):
             raise MeshError("an edge is used by more than two cells")
+        if not self.cells:
+            raise MeshError("mesh has no cells")
+        _check_used(self.n_vertices, self.edges, "vertex")
         return self
 
 
@@ -430,7 +441,10 @@ class PolyhedralMesh3:
             pts3 = self.face_points(fid)
             if _zero_edges(pts3):
                 raise MeshError(f"face {fid} has a zero-length edge")
-            frame = face_frame(pts3)
+            try:
+                frame = face_frame(pts3)
+            except MeshError:
+                raise MeshError(f"face {fid} is degenerate") from None
             offsets = (pts3 - frame.origin) @ frame.normal
             hf = _diameter(pts3)
             if np.max(np.abs(offsets)) > 1e-12 * hf:
@@ -458,6 +472,11 @@ class PolyhedralMesh3:
             if len(ss) == 2 and ss[0] + ss[1] != 0:
                 raise MeshError(f"face {fid} has matching signs "
                                 "in both neighboring cells")
+        if not self.cells:
+            raise MeshError("mesh has no cells")
+        _check_used(self.n_faces, list(signs), "face")
+        # every face is a cell's, so every vertex of an edge is a cell's
+        _check_used(self.n_vertices, self.edges, "vertex")
         return self
 
 

@@ -111,34 +111,21 @@ def _corner_case():
 def _patch_case(dim, k):
     """A random polynomial of total degree k with reproducible
     coefficients; solved with injected boundary values."""
-    idx = pb.multi_indices(dim, k)
+    basis = pb.ScaledMonomialBasis(dim, k, np.zeros(dim), 1.0)
     rng = np.random.default_rng(1234 + 10 * dim + k)
-    coeffs = rng.uniform(-1.0, 1.0, size=len(idx))
-
-    def monomials(p, powers):
-        return np.prod(np.atleast_2d(p)[:, None, :] ** powers[None], axis=2)
+    coeffs = rng.uniform(-1.0, 1.0, size=basis.n)
+    grad_coeffs = np.stack([D.T @ coeffs for D in basis.derivative_maps()],
+                           axis=1)
+    f_coeffs = -(basis.laplacian_map().T @ coeffs)
 
     def u(p):
-        return monomials(p, idx) @ coeffs
+        return basis.eval(p) @ coeffs
 
     def grad(p):
-        p = np.atleast_2d(p)
-        g = np.empty((len(p), dim))
-        for d in range(dim):
-            lowered = idx.copy()
-            lowered[:, d] = np.maximum(idx[:, d] - 1, 0)
-            g[:, d] = monomials(p, lowered) @ (coeffs * idx[:, d])
-        return g
+        return basis.eval(p) @ grad_coeffs
 
     def f(p):
-        p = np.atleast_2d(p)
-        total = np.zeros(len(p))
-        for d in range(dim):
-            a = idx[:, d]
-            lowered = idx.copy()
-            lowered[:, d] = np.maximum(a - 2, 0)
-            total += monomials(p, lowered) @ (coeffs * a * (a - 1))
-        return -total
+        return basis.eval(p) @ f_coeffs
 
     return ManufacturedCase("patch", dim, u, grad, f, mode="inject")
 

@@ -22,7 +22,7 @@ DIRECT_SOLVER_LIMIT = 50_000
 
 
 class NotConverged(Exception):
-    """Raised when an iterative solve fails to reach the tolerance."""
+    """Raised when a linear solve fails or misses its tolerance."""
 
 
 class SolveInfo:
@@ -189,9 +189,10 @@ def assemble(mesh, k, stabilization=None, f=None):
     """
     if stabilization is None:
         stabilization = "s2" if mesh.dim == 2 else "3d"
-    if mesh.dim == 3 and stabilization != "3d":
-        raise ValueError("polyhedral meshes support only the "
-                         "face-wise stabilization")
+    allowed = ("s1", "s2", "s2tilde") if mesh.dim == 2 else ("3d",)
+    if stabilization not in allowed:
+        raise ValueError(f"unknown stabilization {stabilization!r} on a "
+                         f"{mesh.dim}D mesh; allowed: {', '.join(allowed)}")
     dofmap = GlobalDofMap(mesh, k)
     elements = build_elements(dofmap)
 
@@ -243,7 +244,11 @@ def solve_linear(A, b, method="auto", tol=1e-12, maxiter=None):
     bnorm = max(float(np.linalg.norm(b)), np.finfo(float).tiny)
 
     if method == "direct":
-        x = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(A)).solve(b)
+        try:
+            lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(A))
+        except RuntimeError as exc:  # SuperLU: an exactly singular factor
+            raise NotConverged(f"direct solve failed: {exc}") from None
+        x = lu.solve(b)
         residual = float(np.linalg.norm(A @ x - b)) / bnorm
         converged = bool(np.isfinite(residual) and residual <= 1e-8)
         if not converged:

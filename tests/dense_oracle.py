@@ -37,6 +37,15 @@ polygons with one vertex count; this module keeps them one polygon at a
 time (polygon_record, face_chart), and every stacked field must equal
 them bit for bit.
 
+The package solves for the projectors of every degree in an H-orthonormal
+basis and forms the load of k = 1 and k = 2 by one formula; this module
+keeps the plain solve of the monomial systems and the k = 1 load from
+pi_zero itself (plain_projectors, plain_load), and the package's
+projectors, stiffness and load may differ from them only by roundoff at
+k = 1, 2. It also keeps the patch case's polynomial evaluated by pow,
+one product of powers per monomial and lowered index (patch_case), which
+the package builds from the basis' derivative maps.
+
 The package evaluates no basis gradient; this module keeps the textbook
 values and gradients of a basis (direct_eval_and_grad), the one gradient
 reference of the tests. From it, it sums the projected error norms one
@@ -591,6 +600,82 @@ def direct_eval_and_grad(basis, pts):
         grads[:, :, d] = alpha[:, d] / basis.scale * np.prod(
             rel[:, None, :] ** lowered[None], axis=2)
     return vals, grads
+
+
+# ---------------------------------------------------------------------------
+# the plain projector solve and load of k <= 2, and the patch polynomial
+
+
+def _refined_solve(A, B):
+    X = np.linalg.solve(A, B)
+    X += np.linalg.solve(A, B - A @ X)
+    return X
+
+
+def plain_projectors(st, B, bnd_mean_dof, bnd_mean_mono):
+    """element2d._solve_projectors with the monomial systems solved as
+    they stand, each with one step of iterative refinement."""
+    n_total, nm = st.layout.n_total, st.layout.n_moment
+    B[..., n_total - nm:] -= (st.measure[:, None, None]
+                              * st.basis.laplacian_map()[..., :nm])
+    Gc = st.Gt.copy()
+    Gc[:, 0] = bnd_mean_mono
+    Bc = B.copy()
+    Bc[:, 0] = bnd_mean_dof
+    st.pi_nabla_star = _refined_solve(Gc, Bc)
+    st.pi_nabla = st.d_mat @ st.pi_nabla_star
+    if st.k == 1:
+        st.pi_zero = st.pi_nabla_star
+        return
+    M = st.H @ st.pi_nabla_star
+    M[:, :nm] = 0.0
+    rows = np.arange(nm)
+    M[:, rows, n_total - nm + rows] = st.measure[:, None]
+    st.pi_zero = _refined_solve(st.H, M)
+
+
+def plain_load(st, f):
+    """The load of a stack of degree k <= 2 against P1: through pi_zero
+    itself at k = 1, through H's P1 block at k = 2."""
+    qp = st._qp
+    fvals = np.asarray(f(qp.reshape(-1, qp.shape[-1]))).reshape(qp.shape[:-1])
+    nj = st.basis.dim + 1
+    C = (st.pi_zero if st.k == 1 else
+         np.linalg.solve(st.H[:, :nj, :nj], st.H[:, :nj] @ st.pi_zero))
+    return (np.swapaxes(C, -1, -2) @ st._integrals(fvals, 1)[..., None])[..., 0]
+
+
+def patch_case(dim, k):
+    """u, grad u and f = -laplacian u of the patch polynomial of
+    study.get_case("patch", dim, k), by pow."""
+    idx = pb.multi_indices(dim, k)
+    rng = np.random.default_rng(1234 + 10 * dim + k)
+    coeffs = rng.uniform(-1.0, 1.0, size=len(idx))
+
+    def monomials(p, powers):
+        return np.prod(np.atleast_2d(p)[:, None, :] ** powers[None], axis=2)
+
+    def u(p):
+        return monomials(p, idx) @ coeffs
+
+    def grad(p):
+        g = np.empty((len(np.atleast_2d(p)), dim))
+        for d in range(dim):
+            lowered = idx.copy()
+            lowered[:, d] = np.maximum(idx[:, d] - 1, 0)
+            g[:, d] = monomials(p, lowered) @ (coeffs * idx[:, d])
+        return g
+
+    def f(p):
+        total = np.zeros(len(np.atleast_2d(p)))
+        for d in range(dim):
+            a = idx[:, d]
+            lowered = idx.copy()
+            lowered[:, d] = np.maximum(a - 2, 0)
+            total += monomials(p, lowered) @ (coeffs * a * (a - 1))
+        return -total
+
+    return u, grad, f
 
 
 # ---------------------------------------------------------------------------

@@ -473,3 +473,37 @@ def test_seminorm_equals_edge_loop(k):
             el.geometry.points, k, el.H, el.geometry.measure, el.geometry.h, v,
             edge_rules(k))
         assert math.isclose(el.seminorm_tbar(v), want, rel_tol=1e-15)
+
+
+def relative_move(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def load_forcing(p):
+    return np.sin(3.0 * p[:, 0]) * np.cos(2.0 * p[:, 1]) + p[:, 1] ** 2
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_orthonormal_solve_moves_low_degrees_by_roundoff(monkeypatch, k):
+    # the projectors of every degree are solved in an H-orthonormal basis;
+    # at k = 1, 2 they, the stiffness and the load stay within roundoff of
+    # the plain monomial solve, on polygons with and without small edges
+    rng = np.random.default_rng(2024)
+    polys = [pm.polygon_geometry(random_star_polygon(rng, small_edge=small))
+             for small in (None, 1e-3, 1e-6, 1e-8) for _ in range(10)]
+    with monkeypatch.context() as mp:
+        mp.setattr(element2d, "_solve_projectors",
+                   dense_oracle.plain_projectors)
+        refs = [Element2D(p, k) for p in polys]
+        element2d.stack_elements(refs)
+    els = [Element2D(p, k) for p in polys]
+    element2d.stack_elements(els)
+    for el, ref in zip(els, refs):
+        for name in ("pi_nabla_star", "pi_zero"):
+            assert relative_move(getattr(el, name),
+                                 getattr(ref, name)) <= 1e-14, name
+        for kind in ("s1", "s2", "s2tilde"):
+            assert relative_move(el.local_stiffness(kind),
+                                 ref.local_stiffness(kind)) <= 1e-14, kind
+        want = dense_oracle.plain_load(ref._stack, load_forcing)[ref._index]
+        assert relative_move(el.local_load(load_forcing), want) <= 1e-14

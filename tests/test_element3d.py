@@ -7,6 +7,7 @@ import pytest
 
 import dense_oracle
 from conftest import integrate_monomial_over_box
+from polyvem import element2d, element3d
 from polyvem import mesh as pm
 from polyvem import polybasis as pb
 from polyvem.element2d import Element2D
@@ -381,3 +382,33 @@ def test_interpolation_commutes_with_face_restriction():
             dense_oracle.polygon_node_points(fel.geometry.points, ts))
         assert np.allclose(g[dofmap.face_dofs(fid)], dofs2,
                            atol=1e-12)
+
+
+def load_forcing(p):
+    return np.sin(3.0 * p[:, 0]) * np.cos(2.0 * p[:, 1]) + p[:, 2] ** 2
+
+
+@pytest.mark.parametrize("family", ["uniform", "facesplit(0.05)"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_orthonormal_solve_moves_low_degree_cells_by_roundoff(
+        monkeypatch, family, k):
+    # the face and cell projectors are solved in an H-orthonormal basis;
+    # at k = 1, 2 they, the stiffness and the load stay within roundoff of
+    # the plain monomial solve
+    mesh = pm.generate_cube_mesh(2, family)
+    with monkeypatch.context() as mp:
+        for module in (element2d, element3d):
+            mp.setattr(module, "_solve_projectors",
+                       dense_oracle.plain_projectors)
+        refs = build_elements(GlobalDofMap(mesh, k))
+    els = build_elements(GlobalDofMap(mesh, k))
+
+    def move(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    for el, ref in zip(els, refs):
+        for name in ("pi_nabla_star", "pi_zero"):
+            assert move(getattr(el, name), getattr(ref, name)) <= 1e-14, name
+        assert move(el.local_stiffness(), ref.local_stiffness()) <= 1e-14
+        want = dense_oracle.plain_load(ref._stack, load_forcing)[ref._index]
+        assert move(el.local_load(load_forcing), want) <= 1e-14

@@ -336,6 +336,49 @@ def test_zero_length_edge_rejected_3d():
         mesh.validate()
 
 
+def test_collinear_face_named_by_validate():
+    cube = pm.generate_cube_mesh(1, "uniform")
+    a, b = cube.faces[0][:2]
+    mid = 0.5 * (cube.vertices[a] + cube.vertices[b])
+    mesh = pm.PolyhedralMesh3(np.vstack([cube.vertices, mid]),
+                              cube.faces + [[a, cube.n_vertices, b]],
+                              cube.cells)
+    with pytest.raises(pm.MeshError, match="face 6 is degenerate"):
+        mesh.validate()
+
+
+def test_mesh_without_cells_rejected():
+    with pytest.raises(pm.MeshError, match="mesh has no cells"):
+        pm.PolygonalMesh2([[0, 0], [1, 0], [0, 1]], []).validate()
+    cube = pm.generate_cube_mesh(1, "uniform")
+    with pytest.raises(pm.MeshError, match="mesh has no cells"):
+        pm.PolyhedralMesh3(cube.vertices, cube.faces, []).validate()
+
+
+def test_unused_vertex_rejected_2d():
+    square = pm.generate_square_mesh(2, "uniform")
+    mesh = pm.PolygonalMesh2(np.vstack([square.vertices, [2.0, 2.0]]),
+                             square.cells)
+    with pytest.raises(pm.MeshError, match="vertex 9 is used by no cell"):
+        mesh.validate()
+
+
+def test_unused_vertex_rejected_3d():
+    cube = pm.generate_cube_mesh(1, "uniform")
+    mesh = pm.PolyhedralMesh3(np.vstack([cube.vertices, [2.0, 2.0, 2.0]]),
+                              cube.faces, cube.cells)
+    with pytest.raises(pm.MeshError, match="vertex 8 is used by no cell"):
+        mesh.validate()
+
+
+def test_unused_face_rejected():
+    cube = pm.generate_cube_mesh(1, "uniform")
+    mesh = pm.PolyhedralMesh3(cube.vertices, cube.faces + [cube.faces[0]],
+                              cube.cells)
+    with pytest.raises(pm.MeshError, match="face 6 is used by no cell"):
+        mesh.validate()
+
+
 def quality_without_warnings(mesh):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

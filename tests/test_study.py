@@ -115,6 +115,20 @@ def test_patch_case_requires_degree():
     assert np.array_equal(case.u(p), case2.u(p))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_patch_case_matches_power_products(dim, k):
+    # built from the basis' derivative maps, the patch polynomial stays
+    # within roundoff of its pow evaluation
+    case = st.get_case("patch", dim, k=k)
+    u, grad, f = dense_oracle.patch_case(dim, k)
+    p = np.random.default_rng(17).uniform(0.0, 1.0, size=(200, dim))
+    for got, want in ((case.u(p), u(p)), (case.grad(p), grad(p)),
+                      (case.f(p), f(p))):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_unknown_case_rejected():
     with pytest.raises(ValueError):
         st.get_case("nosuchcase", 2)

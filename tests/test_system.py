@@ -226,6 +226,49 @@ def test_solve_linear_not_converged():
         ps.solve_linear(A, b, method="cg", tol=1e-14, maxiter=2)
 
 
+def test_solve_linear_singular_factor_not_converged():
+    A = sp.csr_matrix(np.diag([1.0, 0.0, 2.0]))
+    with pytest.raises(ps.NotConverged, match="singular"):
+        ps.solve_linear(A, np.ones(3), method="direct")
+
+
+def test_unused_vertex_solve_not_converged():
+    # a vertex no cell uses is a free dof with an empty row
+    square = pm.generate_square_mesh(2, "uniform")
+    mesh = pm.PolygonalMesh2(np.vstack([square.vertices, [2.0, 2.0]]),
+                             square.cells)
+    system = ps.assemble(mesh, 1, f=lambda p: np.ones(len(p)))
+    with pytest.raises(ps.NotConverged):
+        system.solve()
+
+
+def test_unused_face_solve_not_converged():
+    # at k = 2 the moment of a face no cell uses is a free dof with an
+    # empty row
+    cube = pm.generate_cube_mesh(1, "uniform")
+    mesh = pm.PolyhedralMesh3(cube.vertices, cube.faces + [cube.faces[0]],
+                              cube.cells)
+    system = ps.assemble(mesh, 2, f=lambda p: np.ones(len(p)))
+    with pytest.raises(ps.NotConverged):
+        system.solve()
+
+
+@pytest.mark.parametrize("dim,kind,allowed", [
+    (2, "3d", "s1, s2, s2tilde"), (2, "s3", "s1, s2, s2tilde"),
+    (3, "s2", "3d")])
+def test_assemble_checks_stabilization_before_building(monkeypatch, dim,
+                                                       kind, allowed):
+    mesh = (pm.generate_square_mesh(2, "uniform") if dim == 2
+            else pm.generate_cube_mesh(1, "uniform"))
+
+    def no_build(dofmap):
+        raise AssertionError("elements built before the check")
+
+    monkeypatch.setattr(ps, "build_elements", no_build)
+    with pytest.raises(ValueError, match=f"allowed: {allowed}$"):
+        ps.assemble(mesh, 1, kind)
+
+
 def test_solver_auto_picks_direct_at_small_scale():
     m = pm.generate_square_mesh(4, "uniform")
     sys_ = ps.assemble(m, 2, "s2", f=lambda p: np.ones(len(p)))
