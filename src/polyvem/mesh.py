@@ -210,6 +210,15 @@ def face_frame(points3):
                      np.stack([a0, np.cross(normal, a0)], axis=-2))
 
 
+def _groups(keys):
+    """The positions of equal keys, one int array per key, in order of
+    first appearance."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return [np.array(ids) for ids in groups.values()]
+
+
 def _stacked_loops(vertices, loops, what):
     """The loops' points, grouped by vertex count in order of first
     appearance: per group the loop ids and their points (G, m, dim).
@@ -217,12 +226,8 @@ def _stacked_loops(vertices, loops, what):
     Raises MeshError naming the first loop, by id, with a zero-length
     edge (what: "cell" or "face").
     """
-    groups = {}
-    for i, loop in enumerate(loops):
-        groups.setdefault(len(loop), []).append(i)
     stacks, bad = [], []
-    for ids in groups.values():
-        ids = np.array(ids)
+    for ids in _groups(map(len, loops)):
         pts = vertices[np.array([loops[i] for i in ids])]
         bad.extend(ids[_zero_edges(pts)])
         stacks.append((ids, pts))
@@ -283,27 +288,36 @@ class PolygonalMesh2:
         self.cell_edge_ids, counts = _number_edges(self, self.cells)
         self.boundary_edges = counts == 1
         self.boundary_vertices = np.zeros(self.n_vertices, dtype=bool)
-        self._records = None
+        self._stacks = self._records = None
         if self.n_edges:
             self.boundary_vertices[self.edges[self.boundary_edges].ravel()] = True
 
     def cell_points(self, i):
         return self.vertices[self.cells[i]]
 
-    def cell_record(self, i):
-        """The PolygonGeometry of cell i.
+    def cell_stacks(self):
+        """The records of all cells, one stacked PolygonGeometry per vertex
+        count in order of first appearance, each with its cell ids.
 
-        On first use the records of all cells are built, one stacked
-        polygon_geometry per vertex count, and kept, so the quality report
-        and the elements read one record per cell.
+        They are built on first use, with one stacked polygon_geometry per
+        vertex count, and kept, so the quality report and the elements read
+        one record per cell.
         """
-        if self._records is None:
+        if self._stacks is None:
+            self._stacks = [
+                (ids, polygon_geometry(pts))
+                for ids, pts in _stacked_loops(self.vertices, self.cells,
+                                               "cell")]
             records = [None] * self.n_cells
-            for ids, pts in _stacked_loops(self.vertices, self.cells, "cell"):
-                geometry = polygon_geometry(pts)
+            for ids, geometry in self._stacks:
                 for j, cell in enumerate(ids):
                     records[cell] = geometry[j]
             self._records = records
+        return self._stacks
+
+    def cell_record(self, i):
+        """The PolygonGeometry of cell i, a member of its cell_stacks."""
+        self.cell_stacks()
         return self._records[i]
 
     def validate(self):
@@ -480,16 +494,18 @@ class PolyhedralMesh3:
         return self
 
 
-def _kernel_halfspaces(mesh, i):
-    """Outward unit normals and anchor points of the facets of cell i,
-    whose half-spaces n.(x-a) <= 0 cut out its kernel, and its diameter."""
-    if mesh.dim == 2:
-        polygon = mesh.cell_record(i)
-        return polygon.normals, polygon.points, polygon.h
-    fids, signs = np.array(mesh.cells[i]).T
-    normals = signs[:, None] * mesh.face_frames().normal[fids]
-    anchors = mesh.vertices[[mesh.faces[fid][0] for fid in fids]]
-    return normals, anchors, _diameter(mesh.cell_points(i))
+def _kernel_halfspaces(mesh, cells):
+    """The vertices (C, m, 3) of polyhedra of one face pattern and one
+    vertex count, the outward unit normals and anchor vertices (C, F, 3)
+    of their faces, whose half-spaces n.(x-a) <= 0 cut out their kernels,
+    and their diameters."""
+    pts = mesh.vertices[[mesh.cell_vertex_ids(i) for i in cells]]
+    records = np.array([mesh.cells[i] for i in cells])
+    fids, signs = records[..., 0], records[..., 1]
+    normals = signs[..., None] * mesh.face_frames().normal[fids]
+    anchors = mesh.vertices[[[mesh.faces[fid][0] for fid in row]
+                             for row in fids]]
+    return pts, normals, anchors, _diameter(pts)
 
 
 def cell_geometry(mesh, i):
@@ -515,15 +531,12 @@ def star_fan(mesh, cells):
     from the fan on the star point. Raises KernelEmpty when a kernel has
     no interior point.
     """
-    pts = mesh.vertices[[mesh.cell_vertex_ids(i) for i in cells]]
-    h = _diameter(pts)
+    pts, normals, anchors, h = _kernel_halfspaces(mesh, cells)
     records = np.array([mesh.cells[i] for i in cells])
-    normals, anchors, fans, fan_signs = [], [], [], []
+    fans, fan_signs = [], []
     for fids, signs in zip(records[:, :, 0].T, records[:, :, 1].T):
         frames = mesh.face_frames()[fids]
-        normals.append(signs[:, None] * frames.normal)
         loop = mesh.vertices[[mesh.faces[fid] for fid in fids]]
-        anchors.append(loop[:, 0])
         sc = np.array([mesh.face_chart(fid)[1].star_center for fid in fids])
         # the tets' star vertex is filled in below
         fan = np.empty(loop.shape[:2] + (4, 3))
@@ -532,7 +545,6 @@ def star_fan(mesh, cells):
         fan[:, :, 3] = frames.to3d(sc[:, None, :])
         fans.append(fan)
         fan_signs.append(np.repeat(signs[:, None], loop.shape[1], axis=1))
-    normals, anchors = np.stack(normals, axis=1), np.stack(anchors, axis=1)
     star = _star_points(pts.mean(axis=1), normals, anchors, h,
                         [f"cell {i}" for i in cells])
 
@@ -564,25 +576,54 @@ class QualityReport:
                        if tau_face is not None else None)
 
 
+def _ratios(lens, loop_edge_ids):
+    """Per loop, the largest of lens over its edges divided by the
+    smallest, one stack per edge count."""
+    out = np.empty(len(loop_edge_ids))
+    for ids in _groups(map(len, loop_edge_ids)):
+        stack = lens[np.array([loop_edge_ids[i] for i in ids])]
+        out[ids] = stack.max(axis=1) / stack.min(axis=1)
+    return out
+
+
 def quality_report(mesh):
     """Edge-length ratios tau per cell (and per face in 3D) and the
-    kernel radius ratio rho per cell."""
-    lens = np.linalg.norm(np.subtract(*mesh.vertices[mesh.edges.T]), axis=1)
+    kernel radius ratio rho per cell.
 
-    def ratios(loop_edge_ids):
-        return np.array([lens[ids].max() / lens[ids].min()
-                         for ids in loop_edge_ids])
-
+    The cells are taken in stacks, by vertex count in 2D (cell_stacks)
+    and by face pattern and vertex count in 3D. A cell's kernel LP, in
+    coordinates relative to its first facet anchor, is its shape: the
+    first cell of each shape solves the Chebyshev LP, and its exact
+    translates, with the same LP data byte for byte, take its radius,
+    each over its own diameter.
+    """
+    if mesh.dim == 2:
+        stacks = [(ids, poly.normals, poly.points, poly.h)
+                  for ids, poly in mesh.cell_stacks()]
+    else:
+        patterns = ((tuple(len(mesh.faces[fid]) for fid, _ in cell),
+                     len(mesh.cell_vertex_ids(i)))
+                    for i, cell in enumerate(mesh.cells))
+        stacks = [(ids, *_kernel_halfspaces(mesh, ids)[1:])
+                  for ids in _groups(patterns)]
     rho = np.empty(mesh.n_cells)
-    for i in range(mesh.n_cells):
-        # a zero-length edge raises here, before its ratio divides by 0
-        normals, anchors, h = _kernel_halfspaces(mesh, i)
-        _, radius = _chebyshev_center(normals, anchors, mesh.dim)
-        rho[i] = radius / h
-    tau = ratios(mesh.cell_edge_ids)
+    for ids, normals, anchors, h in stacks:
+        keys = np.concatenate([normals, anchors - anchors[:, :1]],
+                              axis=1).reshape(len(ids), -1)
+        first = {}
+        shape = np.array([first.setdefault(key.tobytes(), g)
+                          for g, key in enumerate(keys)])
+        radius = np.empty(len(ids))
+        for g in first.values():
+            radius[g] = _chebyshev_center(normals[g], anchors[g], mesh.dim)[1]
+        rho[ids] = radius[shape] / h
+    # building the stacks raised on a zero-length edge, before its ratio
+    # divides by 0
+    lens = np.linalg.norm(np.subtract(*mesh.vertices[mesh.edges.T]), axis=1)
+    tau = _ratios(lens, mesh.cell_edge_ids)
     tau_face = None
     if mesh.dim == 3:
-        tau_face = ratios(mesh.face_edge_ids)
+        tau_face = _ratios(lens, mesh.face_edge_ids)
     return QualityReport(tau, rho, tau_face)
 
 

@@ -55,6 +55,15 @@ norms must equal these to roundoff. Those sums take each cell's volume
 rule from the package's fan quadrature, on the cell's polygon in 2D and
 on its element's star fan in 3D.
 
+The package's quality report solves the kernel LP once per cell shape
+(a cell's LP data relative to its first facet anchor) and gives the
+exact translates of a cell its radius; this module solves one LP per
+cell (kernel_radius_ratios), on half-spaces built one cell at a time
+from polygon_record and face_chart. The package's rho must equal it bit
+for bit on the first cell of each shape, and to roundoff elsewhere. The
+package takes the edge ratios on stacks of loops with one edge count;
+edge_ratios takes them one loop at a time, and they must be equal.
+
 Run as a script to (re)generate tests/fixtures/klocal_unit_square_k1_*.json.
 """
 
@@ -581,6 +590,49 @@ def face_chart(points3):
     axes = np.array([a0, np.cross(normal, a0)])
     return dict(origin=origin, normal=normal, axes=axes,
                 **polygon_record((points3 - origin) @ axes.T))
+
+
+# ---------------------------------------------------------------------------
+# the quality report, one loop and one LP per cell
+
+
+def edge_ratios(mesh, loop_edge_ids):
+    """tau per loop: its longest edge over its shortest."""
+    lens = np.linalg.norm(np.subtract(*mesh.vertices[mesh.edges.T]), axis=1)
+    return np.array([lens[ids].max() / lens[ids].min()
+                     for ids in loop_edge_ids])
+
+
+def kernel_halfspaces(mesh, i):
+    """The outward unit normals and anchor points of the facets of cell i
+    (its edges in 2D, its faces in 3D), whose half-spaces n.(x-a) <= 0 cut
+    out its kernel, and its diameter."""
+    if mesh.dim == 2:
+        record = polygon_record(mesh.cell_points(i))
+        return record["normals"], record["points"], record["h"]
+    normals = np.array([sign * face_chart(mesh.face_points(fid))["normal"]
+                        for fid, sign in mesh.cells[i]])
+    anchors = np.array([mesh.face_points(fid)[0] for fid, _ in mesh.cells[i]])
+    pts = mesh.cell_points(i)
+    d = pts[:, None, :] - pts[None, :, :]
+    h = np.sqrt(np.einsum("...ijk,...ijk->...ij", d, d).max(axis=(-2, -1)))
+    return normals, anchors, h
+
+
+def kernel_radius_ratios(mesh):
+    """rho per cell: the radius of the largest ball in its kernel (the
+    Chebyshev center LP, 0 when it fails) over its diameter."""
+    dim = mesh.dim
+    rho = np.empty(mesh.n_cells)
+    for i in range(mesh.n_cells):
+        normals, anchors, h = kernel_halfspaces(mesh, i)
+        res = scipy.optimize.linprog(
+            [0.0] * dim + [-1.0],
+            A_ub=np.column_stack([normals, np.ones(len(normals))]),
+            b_ub=np.einsum("ij,ij->i", normals, anchors),
+            bounds=[(None, None)] * dim + [(0.0, None)], method="highs")
+        rho[i] = (res.x[dim] if res.success else 0.0) / h
+    return rho
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import dense_oracle
 from conftest import poly_area, random_star_polygon
@@ -228,6 +229,96 @@ def test_quality_smalledge_tau_frozen():
         assert math.isclose(q.alpha_h, math.log(10.0), rel_tol=1e-12)
         assert np.all(q.tau >= 1.0)
         assert np.all((q.rho > 0) & (q.rho <= 0.5))
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """One entry per scipy.optimize.linprog call made in the test."""
+    calls = []
+    linprog = scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    return calls
+
+
+def generate(dim, n, family):
+    """A mesh whose records (2D) or face charts (3D) are already built,
+    so that the LPs counted after it are the quality report's."""
+    if dim == 2:
+        mesh = pm.generate_square_mesh(n, family)
+        mesh.cell_stacks()
+    else:
+        mesh = pm.generate_cube_mesh(n, family)
+        mesh.face_frames()
+    return mesh
+
+
+@pytest.mark.parametrize("dim,n,family,lps", [
+    (2, 8, "uniform", 1), (2, 8, "smalledge(0.015625)", 1),
+    (2, 4, "hanging", 8), (3, 4, "uniform", 1), (3, 2, "facesplit(0.05)", 8),
+    (2, 4, "distorted(3)", 16)])
+def test_quality_solves_one_lp_per_cell_shape(dim, n, family, lps, lp_calls):
+    # grids on dyadic coordinates translate a cell exactly; facesplit(0.05)
+    # puts split vertices off the dyadic grid and distorted jitters each
+    # vertex, so no two cells there share a shape
+    mesh = generate(dim, n, family)
+    lp_calls.clear()
+    pm.quality_report(mesh)
+    assert len(lp_calls) == lps
+
+
+def test_quality_translate_shares_an_lp_and_mirror_image_does_not(lp_calls):
+    # a pentagon with no mirror symmetry; adding 2 or 4 to these
+    # coordinates is exact, so the translate's LP data match byte for byte;
+    # the half-size copy has the same normals but other anchors
+    cell = np.array([[0, 0], [1, 0], [1.25, 0.5], [0.5, 1], [0, 0.75]])
+    translate = cell + [2.0, 0.0]
+    mirror = cell[::-1] * [-1.0, 1.0] + [4.0, 0.0]  # reversed to stay CCW
+    half = 0.5 * cell + [2.0, 0.0]
+    for other, lps in ((translate, 1), (mirror, 2), (half, 2)):
+        mesh = pm.PolygonalMesh2(np.vstack([cell, other]),
+                                 [list(range(5)), list(range(5, 10))])
+        mesh.cell_stacks()
+        lp_calls.clear()
+        rho = pm.quality_report(mesh).rho
+        assert len(lp_calls) == lps
+        assert rho[1] == pytest.approx(rho[0], rel=1e-13)
+        want = dense_oracle.kernel_radius_ratios(mesh)
+        assert rho[0] == want[0]
+        assert rho[1] == pytest.approx(want[1], rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("dim,n,family", [
+    (2, 4, "distorted(3)"), (2, 8, "smalledge(0.015625)"), (2, 4, "hanging"),
+    (2, 4, "smalledge(0.01)"), (3, 3, "uniform"), (3, 2, "facesplit(0.25)"),
+    (3, 2, "facesplit(0.05)")])
+def test_quality_equals_one_loop_and_one_lp_per_cell(dim, n, family):
+    # rho bit for bit on the first cell of each shape, whose LP is the one
+    # the reference solves; its translates take its radius over their h
+    mesh = generate(dim, n, family)
+    q = pm.quality_report(mesh)
+    assert np.array_equal(q.tau,
+                          dense_oracle.edge_ratios(mesh, mesh.cell_edge_ids))
+    if dim == 3:
+        assert np.array_equal(
+            q.tau_face, dense_oracle.edge_ratios(mesh, mesh.face_edge_ids))
+    rho = q.rho
+    want = dense_oracle.kernel_radius_ratios(mesh)
+    shapes = set()
+    for i in range(mesh.n_cells):
+        normals, anchors, _ = dense_oracle.kernel_halfspaces(mesh, i)
+        key = normals.tobytes() + (anchors - anchors[0]).tobytes()
+        if key in shapes:
+            assert rho[i] == pytest.approx(want[i], rel=1e-13, abs=0.0)
+        else:
+            assert rho[i] == want[i]
+            shapes.add(key)
+    if family.startswith("distorted"):
+        assert len(shapes) == mesh.n_cells
 
 
 # ---------------------------------------------------------------------------
